@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet errcheck race chaos serve-chaos cluster-chaos dataset-chaos fuzz-smoke bench bench-parallel bench-route bench-model bench-serve obs-bench ci
+.PHONY: build test vet errcheck race chaos serve-chaos cluster-chaos dataset-chaos fuzz-smoke bench bench-test bench-parallel bench-route bench-model bench-serve obs-bench ci
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,7 @@ race:
 # (faultinject build tag) and runs the fault-injection suite under the race
 # detector: every injected fault must recover or surface a typed error.
 chaos:
-	$(GO) test -race -count=1 -tags faultinject ./internal/fault/... ./internal/parallel/ ./internal/relax/ ./internal/route/ ./internal/core/
+	$(GO) test -race -count=1 -tags faultinject ./internal/fault/... ./internal/parallel/ ./internal/relax/ ./internal/route/ ./internal/core/ ./internal/serve/ ./internal/dataset/
 
 # serve-chaos runs the daemon's fault-injection suite under the race
 # detector: concurrent clients against a poisoned model must get typed errors
@@ -57,9 +57,15 @@ dataset-chaos:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNetlistBuild -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench-test runs the tests of the layered benchmark module in bench/ (its own
+# Go module, so the root go test ./... does not reach it).
+bench-test:
+	cd bench && $(GO) test ./...
 
 # bench-parallel measures the serial-vs-parallel wall time of the
 # parallelized phases and writes BENCH_parallel.json.
@@ -68,7 +74,8 @@ bench-parallel:
 
 # bench-route measures the detailed-router hot path per OTA benchmark
 # (wall time, allocs, routed quality) and writes BENCH_route.json; the
-# in-package micro-benchmarks cover the A* core and negotiation loop.
+# in-package micro-benchmarks cover the A* core and the negotiation loop under
+# uniform guidance, sampled guidance and the selective schedule.
 bench-route:
 	$(GO) test -run NONE -bench BenchmarkRouteReport -benchtime 1x .
 	$(GO) test -run NONE -bench 'BenchmarkAstarCore|BenchmarkRouteNegotiation' -benchmem -benchtime 100x ./internal/route/

@@ -2,6 +2,7 @@ package route
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"analogfold/internal/geom"
@@ -243,6 +244,27 @@ func BenchmarkRouteNegotiation(b *testing.B) {
 	c := netlist.OTA1()
 	g := buildGrid(b, c, 1)
 	gd := guidance.Uniform(len(c.Nets))
+	r := NewRouter(g, Config{})
+	if _, err := r.Run(gd); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(gd); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouteNegotiationGuided is BenchmarkRouteNegotiation under one
+// seeded sampled guidance set: the path dataset labels, the guided Table-2
+// pass and served /v1/route requests take, where the per-net multipliers
+// shape the A* heuristic.
+func BenchmarkRouteNegotiationGuided(b *testing.B) {
+	c := netlist.OTA1()
+	g := buildGrid(b, c, 1)
+	gd := guidance.Sample(len(c.Nets), rand.New(rand.NewSource(1)), guidance.DefaultCMax)
 	r := NewRouter(g, Config{})
 	if _, err := r.Run(gd); err != nil {
 		b.Fatal(err)

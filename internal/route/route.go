@@ -38,7 +38,7 @@ type Config struct {
 	PresentFactor  float64 // present-congestion factor, scaled by iteration (default 6)
 	GuidanceWeight float64 // blend of guidance into step cost, 0..1 (default 0.8)
 	SymDiscount    float64 // cost multiplier on mirror cells of the sym peer (default 0.65)
-	MinMult        float64 // floor for guidance multipliers, keeps A* admissible-ish (default 0.3)
+	MinMult        float64 // floor for guidance multipliers, hence for A*'s per-axis bound, which holds except on SymDiscount mirror cells (default 0.3)
 
 	// Order selects the net-ordering strategy (default OrderCritical).
 	Order OrderStrategy
@@ -137,12 +137,13 @@ type Router struct {
 	open      pqHeap
 
 	// Per-net step-cost tables filled by prepNetCosts: planar step cost per
-	// layer (preferred-direction penalty folded in) and the via step cost.
-	stepX  []float64
-	stepY  []float64
-	stepZ  float64
-	maxZ   int
-	hScale float64
+	// layer (preferred-direction penalty folded in) and the via step cost,
+	// plus the A* heuristic's per-axis scales.
+	stepX      []float64
+	stepY      []float64
+	stepZ      float64
+	maxZ       int
+	hX, hY, hZ float64
 
 	// dirDelta[i] is the flat-index offset of neighborDirs[i].
 	dirDelta [6]int
@@ -168,6 +169,12 @@ type Router struct {
 	// pathological search. Set by RunCtx; never nil during a run.
 	ctx      context.Context
 	ctxPolls int
+
+	// searchHook, when set, observes every completed A* search before its
+	// path joins the net's tree, i.e. while the router state that produced
+	// the path is still intact. Tests use it to re-run a search under a
+	// different heuristic; it is nil in every production router.
+	searchHook func(ni, iter int, targets []geom.Point3, hard bool, path []geom.Point3)
 }
 
 // NewRouter creates a router over a grid.

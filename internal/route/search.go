@@ -161,9 +161,18 @@ func (r *Router) prepNetCosts(ni int, gv guidance.Vec) {
 	}
 	r.stepZ = r.cfg.ViaCost * multZ
 	r.maxZ = maxZ
-	// Heuristic scale: the cheaper planar multiplier, capped at 1 so the
-	// bounding-box heuristic stays a lower bound on the real step costs.
-	r.hScale = minF(minF(multX, multY), 1)
+	// Per-axis heuristic scales: the cheapest step the search can take along
+	// x (resp. y) on any layer it may enter, so hX·dx + hY·dy never exceeds
+	// the planar cost of reaching the target box. The z term keeps the old
+	// scalar, the cheaper planar multiplier capped at 1, which keeps
+	// uniform-guidance routes unchanged; the via cost only caps it when
+	// ViaCost·MinMult < 1, never at the defaults.
+	r.hX, r.hY = math.Inf(1), math.Inf(1)
+	for z := 0; z <= maxZ; z++ {
+		r.hX = minF(r.hX, r.stepX[z])
+		r.hY = minF(r.hY, r.stepY[z])
+	}
+	r.hZ = minF(minF(minF(multX, multY), 1), r.stepZ)
 }
 
 // routeNetImpl routes one net. It requires the net to be ripped up first
@@ -246,6 +255,9 @@ func (r *Router) routeNetImpl(ni int, gd guidance.Set, iter int, netCells [][]ge
 		if err != nil {
 			return nil, nil, fmt.Errorf("route: net %s: %w", g.Place.Circuit.Nets[ni].Name, err)
 		}
+		if r.searchHook != nil {
+			r.searchHook(ni, iter, rg.cells, hard, path)
+		}
 		paths = append(paths, path)
 		for _, c := range path {
 			idx := g.CellIndex(c)
@@ -310,10 +322,12 @@ func (r *Router) astar(ni int, iter int, targets []geom.Point3, hard bool) ([]ge
 	ne := r.netEpoch
 	maxZ := r.maxZ
 
-	// Heuristic: scaled distance to the targets' bounding box (a lower bound
-	// on the distance to any target), weighted greedily — the router trades a
-	// little path optimality for a large search-space reduction, as detailed
-	// routers commonly do.
+	// Heuristic: per-axis scaled distance to the targets' bounding box. Every
+	// x step costs at least hX and every y step at least hY (congestion and
+	// history only add), so the bound is a lower bound on the remaining path
+	// cost — except on the symmetric peer's mirror cells, whose SymDiscount
+	// can take a step below it; there the search may settle for a slightly
+	// costlier path.
 	loX, loY, loZ := math.MaxInt32, math.MaxInt32, math.MaxInt32
 	hiX, hiY, hiZ := math.MinInt32, math.MinInt32, math.MinInt32
 	for _, t := range targets {
@@ -322,12 +336,12 @@ func (r *Router) astar(ni int, iter int, targets []geom.Point3, hard bool) ([]ge
 		loY, hiY = minI(loY, t.Y), maxI(hiY, t.Y)
 		loZ, hiZ = minI(loZ, t.Z), maxI(hiZ, t.Z)
 	}
-	hScale := r.hScale
+	hX, hY, hZ := r.hX, r.hY, r.hZ
 	h := func(p geom.Point3) float64 {
 		dx := maxI(0, maxI(loX-p.X, p.X-hiX))
 		dy := maxI(0, maxI(loY-p.Y, p.Y-hiY))
 		dz := maxI(0, maxI(loZ-p.Z, p.Z-hiZ))
-		return hScale * float64(dx+dy+dz)
+		return hX*float64(dx) + hY*float64(dy) + hZ*float64(dz)
 	}
 
 	// Seed the open list in deterministic ascending-index order (the same

@@ -83,10 +83,17 @@ go test -run '^$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
 go test -run '^$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
 
 echo "== benchmark smoke (router hot path compiles and runs) =="
-# One iteration of the routing benchmark: catches benchmarks that rot
-# (compile errors, panics) without paying for a real measurement run.
+# One iteration of the routing benchmarks, uniform and guided: catches
+# benchmarks that rot (compile errors, panics) without paying for a real
+# measurement run.
 go test -run=NONE -bench=RouteOTA1 -benchtime=1x .
-go test -run=NONE -bench='BenchmarkAstarCore|BenchmarkRouteNegotiation$' -benchtime=1x ./internal/route/
+go test -run=NONE -bench='BenchmarkAstarCore|BenchmarkRouteNegotiation$|BenchmarkRouteNegotiationGuided$' -benchtime=1x ./internal/route/
+
+echo "== layered benchmark module tests =="
+# bench/ is a Go module of its own (it replaces analogfold with ../), so the
+# root go test ./... never reaches it: its workload smoke runs, statistics and
+# the BENCHMARK.json <-> metric-table check (TestSpecMatchesTables) run here.
+(cd bench && go test ./...)
 
 echo "== model inference perf gate (writes BENCH_model.json) =="
 # BenchmarkModelReport gates the tape arena internally: the steady-state
