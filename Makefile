@@ -57,6 +57,7 @@ dataset-chaos:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNetlistBuild -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzMatMulKernels -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
 
 bench:
@@ -83,10 +84,13 @@ bench-route:
 # bench-model measures the 3DGNN inference core (tape-backed session vs the
 # transient path, batched vs sequential candidate scoring) and writes
 # BENCH_model.json; the in-package micro-benchmarks cover the same arms with
-# go-bench statistics.
+# go-bench statistics, the session cycle at the served size (Hidden 24,
+# RBFBins 12), and the three matmul kernels against their reference loops at
+# the OTA1 PP-edge shape.
 bench-model:
 	$(GO) test -run NONE -bench BenchmarkModelReport -benchtime 1x .
 	$(GO) test -run NONE -bench 'BenchmarkModelCore|BenchmarkCandidateScoring|BenchmarkRelaxStep' -benchmem -benchtime 100x ./internal/gnn3d/ ./internal/relax/
+	$(GO) test -run NONE -bench BenchmarkMatMulKernels -benchtime 2000x ./internal/tensor/
 
 # bench-serve measures batch-first serving (duplicate-heavy mix against the
 # result cache + singleflight, all-distinct mix through micro-batch scoring

@@ -112,13 +112,17 @@ func (o Options) withDefaults() Options {
 // boundary; with no telemetry attached the span is a nil no-op. Phases that
 // map onto a request latency stage additionally feed the context's
 // StageBreakdown, which is how serving requests attribute relax and route
-// time without the handlers instrumenting core internals.
+// time without the handlers instrumenting core internals. Scoring that runs
+// inside a phase (non-deferred relax.Optimize scores its candidates before
+// returning) credits StageScore itself, so the phase keeps only the rest of
+// its elapsed time and the stages never overlap.
 func withPhase(ctx context.Context, phase string, fn func(context.Context)) {
 	sctx, span := obs.StartSpan(ctx, phase)
-	start := time.Now()
+	stages := obs.StagesFrom(ctx)
+	start, scored := time.Now(), stages.Get(obs.StageScore)
 	defer func() {
 		if st, ok := phaseStage(phase); ok {
-			obs.StagesFrom(ctx).Add(st, time.Since(start))
+			stages.Add(st, time.Since(start)-(stages.Get(obs.StageScore)-scored))
 		}
 		span.End()
 	}()

@@ -97,8 +97,15 @@ func goldenGraph(t testing.TB, c *netlist.Circuit, seed int64) (*hetgraph.Graph,
 // goldenModel fits a small model on a smooth synthetic objective (the same
 // fixture shape as the relax tests) so the potential landscape has structure.
 func goldenModel(t testing.TB, g *hetgraph.Graph, seed int64) *gnn3d.Model {
+	return fitModel(t, g, gnn3d.Config{Seed: seed, Hidden: 16, Layers: 2, RBFBins: 8})
+}
+
+// fitModel fits a model of the given configuration on goldenModel's
+// synthetic objective, drawing samples and minibatches from cfg.Seed.
+func fitModel(t testing.TB, g *hetgraph.Graph, cfg gnn3d.Config) *gnn3d.Model {
 	t.Helper()
-	m := gnn3d.New(gnn3d.Config{Seed: seed, Hidden: 16, Layers: 2, RBFBins: 8})
+	seed := cfg.Seed
+	m := gnn3d.New(cfg)
 	rng := rand.New(rand.NewSource(seed))
 	n := len(g.Circuit.Nets)
 	var samples []gnn3d.Sample

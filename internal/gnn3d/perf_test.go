@@ -145,26 +145,35 @@ func TestSessionForwardMatchesModelForward(t *testing.T) {
 
 // BenchmarkModelCore measures one Forward+Backward guidance-gradient cycle —
 // the inner loop of the potential relaxation — on the tape-backed session
-// versus the transient per-op-allocating path. The session arm is the
+// versus the transient per-op-allocating path, on the golden fixture's
+// Hidden 16 / RBFBins 8 model. The served arm times the session cycle at
+// the size the daemon and the flows use (gnn3d.Defaults: Hidden 24,
+// RBFBins 12), fitted on the same objective. The session arm is the
 // ≥5×-fewer-allocations claim of the perf PR; run with -benchmem.
 func BenchmarkModelCore(b *testing.B) {
 	hg, m := perfFixture(b)
 	nets := len(hg.Circuit.Nets)
 	cs := perfGuidances(nets, 4, 7)
 
-	b.Run("session", func(b *testing.B) {
-		sess := gnn3d.NewInferSession(m, hg)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sess.SetC(cs[i%len(cs)].Data); err != nil {
-				b.Fatal(err)
-			}
-			if err := ad.Backward(ad.Sum(sess.Forward())); err != nil {
-				b.Fatal(err)
+	session := func(m *gnn3d.Model) func(b *testing.B) {
+		return func(b *testing.B) {
+			sess := gnn3d.NewInferSession(m, hg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sess.SetC(cs[i%len(cs)].Data); err != nil {
+					b.Fatal(err)
+				}
+				if err := ad.Backward(ad.Sum(sess.Forward())); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("session", session(m))
+	served := gnn3d.Defaults()
+	served.Seed = 11
+	b.Run("served", session(fitModel(b, hg, served)))
 	b.Run("transient", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()

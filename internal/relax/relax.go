@@ -266,9 +266,10 @@ type restartOut struct {
 
 // Optimize runs the full pool-assisted relaxation. Rounds of RoundSize
 // restarts execute concurrently on Workers goroutines; each restart owns a
-// private RNG (Seed+restartIndex) and a private model clone, and the elite
-// pool is merged at a barrier between rounds so the result is independent of
-// the worker count.
+// private RNG (Seed+restartIndex) and, for its duration, a tape-backed
+// evaluator drawn from a pool (a model clone under Config.NoTape), and the
+// elite pool is merged at a barrier between rounds so the result is
+// independent of the worker count.
 //
 // Failure model: a restart whose optimization diverges (NaN/Inf potential or
 // iterate), stalls without ever reaching a finite point, or hits a model

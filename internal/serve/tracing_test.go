@@ -198,3 +198,87 @@ func TestStageMetricsExposition(t *testing.T) {
 		t.Errorf("prom exposition missing stage histogram:\n%.2000s", body)
 	}
 }
+
+// parseTimingHeader reads an X-Analogfold-Timing value back into
+// milliseconds per stage name.
+func parseTimingHeader(t *testing.T, h string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, part := range strings.Split(h, ", ") {
+		name, dur, ok := strings.Cut(part, ";dur=")
+		if !ok {
+			t.Fatalf("malformed timing entry %q in %q", part, h)
+		}
+		ms, err := strconv.ParseFloat(dur, 64)
+		if err != nil {
+			t.Fatalf("timing entry %q: %v", part, err)
+		}
+		out[name] = ms
+	}
+	return out
+}
+
+// TestStagesDoNotOverlap pins that a request's timing stages partition its
+// time. On /v1/route, relax.Optimize scores its candidates inside the
+// relaxation phase and credits the score stage itself, so the relax stage must
+// keep only the rest of the phase: relax + score fits in the phase and the
+// stage sum fits in the request. On the batched /v1/guidance path scoring is
+// deferred past the phase, so relax stays the whole phase.
+func TestStagesDoNotOverlap(t *testing.T) {
+	tel := obs.New(obs.Options{Seed: 5})
+	s := New(trainedModel(t), Config{Opts: testOpts(), Telemetry: tel, BatchWindow: time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Microsecond truncation of stages and span timestamps.
+	const slackMS = 0.01
+	do := func(path, body string) (stages map[string]float64, wallMS, phaseMS float64) {
+		t.Helper()
+		start := time.Now()
+		resp, b := postJSON(t, ts.URL+path, body)
+		wallMS = float64(time.Since(start).Microseconds()) / 1e3
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d body %s", path, resp.StatusCode, b)
+		}
+		stages = parseTimingHeader(t, resp.Header.Get(HeaderTiming))
+		phaseMS = -1
+		for _, e := range tel.Recorder().Snapshot() {
+			if e.Name == "relaxation" {
+				phaseMS = float64(e.DurUS) / 1e3 // the last one is this request's
+			}
+		}
+		if phaseMS < 0 {
+			t.Fatalf("%s: no relaxation span recorded", path)
+		}
+		sum := 0.0
+		for _, ms := range stages {
+			sum += ms
+		}
+		if sum > wallMS+slackMS {
+			t.Errorf("%s: stages %v sum to %.3f ms, more than the request's %.3f ms", path, stages, sum, wallMS)
+		}
+		return stages, wallMS, phaseMS
+	}
+
+	// The guidance request also builds the flow, so the route request's wall
+	// time is nearly all relaxation and routing.
+	g, _, gPhase := do("/v1/guidance", `{"bench":"OTA1-A","seed":3}`)
+	if g["score"] <= 0 {
+		t.Errorf("guidance stages %v: want a score stage from the wave", g)
+	}
+	// The phase span opens a little before the stage clock starts, so relax
+	// reads slightly under it; a deferred score must not be taken out.
+	if g["relax"] > gPhase+slackMS || gPhase-g["relax"] > g["score"]/2 {
+		t.Errorf("deferred guidance: relax stage %.3f ms, relaxation phase %.3f ms, score %.3f ms; want relax = phase",
+			g["relax"], gPhase, g["score"])
+	}
+
+	r, _, rPhase := do("/v1/route", `{"bench":"OTA1-A","seed":4}`)
+	if r["score"] <= 0 || r["relax"] <= 0 || r["route"] <= 0 {
+		t.Fatalf("route stages %v: want relax, score and route", r)
+	}
+	if r["relax"]+r["score"] > rPhase+slackMS {
+		t.Errorf("route: relax %.3f + score %.3f ms exceed the relaxation phase %.3f ms",
+			r["relax"], r["score"], rPhase)
+	}
+}

@@ -168,9 +168,20 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulInto computes out = a @ b into a caller-owned tensor, zeroing out
-// first. The kernel (accumulation order, the zero-row skip) is byte-for-byte
-// the one MatMul always used, so Into reuse is bit-identical to allocation.
+// MatMulInto computes out = a @ b into a caller-owned tensor, assigning
+// every element (out's prior contents are irrelevant).
+//
+// Bit-identity invariant, shared by the three kernels: each output element is
+// summed from +0 in ascending p order as acc += x*y, and here a term whose a
+// element is zero (either sign) is skipped. Register blocking only changes
+// which elements are in flight together, never the order or the expression
+// within one element, so results are the same bits as the naive triple loop
+// for every input (zeros, −0, ±Inf, NaN) — kernel_test.go checks them against
+// it.
+//
+// The kernel computes 2 rows × 4 columns of out per pass over p, holding the
+// eight accumulators in registers. An odd last row pairs with itself; spare
+// columns take a 2 × 1 pass.
 func MatMulInto(out, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %v x %v", a.Shape, b.Shape))
@@ -179,19 +190,47 @@ func MatMulInto(out, a, b *Tensor) {
 	if out.Dims() != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul out shape %v, want [%d %d]", out.Shape, m, n))
 	}
-	out.Zero()
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
+	bd := b.Data
+	for i := 0; i < m; i += 2 {
+		i1 := min(i+1, m-1)
+		a0, a1 := a.Data[i*k:(i+1)*k], a.Data[i1*k:(i1+1)*k]
+		a1 = a1[:len(a0)]
+		o0, o1 := out.Data[i*n:(i+1)*n], out.Data[i1*n:(i1+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			q := j // offset of b[p][j]
+			for p, x0 := range a0 {
+				x1, y := a1[p], bd[q:q+4:q+4]
+				q += n
+				if x0 != 0 {
+					c00 += x0 * y[0]
+					c01 += x0 * y[1]
+					c02 += x0 * y[2]
+					c03 += x0 * y[3]
+				}
+				if x1 != 0 {
+					c10 += x1 * y[0]
+					c11 += x1 * y[1]
+					c12 += x1 * y[2]
+					c13 += x1 * y[3]
+				}
 			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
+		}
+		for ; j < n; j++ {
+			var c0, c1 float64
+			for p, x0 := range a0 {
+				x1, y := a1[p], bd[p*n+j]
+				if x0 != 0 {
+					c0 += x0 * y
+				}
+				if x1 != 0 {
+					c1 += x1 * y
+				}
 			}
+			o0[j], o1[j] = c0, c1
 		}
 	}
 }
@@ -206,8 +245,9 @@ func MatMulATB(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulATBInto computes out = aᵀ @ b into a caller-owned tensor, zeroing
-// out first (same kernel as MatMulATB).
+// MatMulATBInto computes out = aᵀ @ b into a caller-owned tensor, assigning
+// every element. Same invariant and blocking as MatMulInto: ascending-p sums
+// from +0, zero a elements skipped.
 func MatMulATBInto(out, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmulATB shape mismatch %v x %v", a.Shape, b.Shape))
@@ -216,19 +256,43 @@ func MatMulATBInto(out, a, b *Tensor) {
 	if out.Dims() != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulATB out shape %v, want [%d %d]", out.Shape, m, n))
 	}
-	out.Zero()
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
+	ad, bd := a.Data, b.Data
+	for i := 0; i < m; i += 2 {
+		i1 := min(i+1, m-1)
+		o0, o1 := out.Data[i*n:(i+1)*n], out.Data[i1*n:(i1+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			for p := 0; p < k; p++ {
+				x0, x1, y := ad[p*m+i], ad[p*m+i1], bd[p*n+j:p*n+j+4:p*n+j+4]
+				if x0 != 0 {
+					c00 += x0 * y[0]
+					c01 += x0 * y[1]
+					c02 += x0 * y[2]
+					c03 += x0 * y[3]
+				}
+				if x1 != 0 {
+					c10 += x1 * y[0]
+					c11 += x1 * y[1]
+					c12 += x1 * y[2]
+					c13 += x1 * y[3]
+				}
 			}
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
+		}
+		for ; j < n; j++ {
+			var c0, c1 float64
+			for p := 0; p < k; p++ {
+				x0, x1, y := ad[p*m+i], ad[p*m+i1], bd[p*n+j]
+				if x0 != 0 {
+					c0 += x0 * y
+				}
+				if x1 != 0 {
+					c1 += x1 * y
+				}
 			}
+			o0[j], o1[j] = c0, c1
 		}
 	}
 }
@@ -243,8 +307,9 @@ func MatMulABT(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulABTInto computes out = a @ bᵀ into a caller-owned tensor (same
-// kernel as MatMulABT; every element is assigned, so no zeroing is needed).
+// MatMulABTInto computes out = a @ bᵀ into a caller-owned tensor, assigning
+// every element. Same invariant and blocking as MatMulInto (ascending-p sums
+// from +0), but with no zero skip: each element is a plain dot product.
 func MatMulABTInto(out, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: matmulABT shape mismatch %v x %v", a.Shape, b.Shape))
@@ -253,16 +318,41 @@ func MatMulABTInto(out, a, b *Tensor) {
 	if out.Dims() != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulABT out shape %v, want [%d %d]", out.Shape, m, n))
 	}
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
+	bd := b.Data
+	for i := 0; i < m; i += 2 {
+		i1 := min(i+1, m-1)
+		a0, a1 := a.Data[i*k:(i+1)*k], a.Data[i1*k:(i1+1)*k]
+		a1 = a1[:len(a0)]
+		o0, o1 := out.Data[i*n:(i+1)*n], out.Data[i1*n:(i1+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0, b1 := bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k]
+			b2, b3 := bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k]
+			b0, b1, b2, b3 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)], b3[:len(a0)]
+			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				c00 += x0 * b0[p]
+				c01 += x0 * b1[p]
+				c02 += x0 * b2[p]
+				c03 += x0 * b3[p]
+				c10 += x1 * b0[p]
+				c11 += x1 * b1[p]
+				c12 += x1 * b2[p]
+				c13 += x1 * b3[p]
 			}
-			orow[j] = s
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
+		}
+		for ; j < n; j++ {
+			bj := bd[j*k : (j+1)*k]
+			bj = bj[:len(a0)]
+			var c0, c1 float64
+			for p, x0 := range a0 {
+				c0 += x0 * bj[p]
+				c1 += a1[p] * bj[p]
+			}
+			o0[j], o1[j] = c0, c1
 		}
 	}
 }

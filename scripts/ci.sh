@@ -77,17 +77,22 @@ go test -race -count=1 -tags faultinject ./internal/cluster/
 echo "== fuzz smoke (10s per target) =="
 # Short native-fuzz budgets: enough to catch a freshly introduced panic or
 # untyped error on the input-facing surfaces (netlist builder, tensor
-# constructors), cheap enough to run every time.
+# constructors), or a matmul kernel whose bits drift from the naive reference
+# loops, cheap enough to run every time.
 go test -run '^$' -fuzz FuzzNetlistBuild -fuzztime 10s ./internal/netlist/
 go test -run '^$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
+go test -run '^$' -fuzz FuzzMatMulKernels -fuzztime 10s ./internal/tensor/
 go test -run '^$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
 
-echo "== benchmark smoke (router hot path compiles and runs) =="
-# One iteration of the routing benchmarks, uniform and guided: catches
-# benchmarks that rot (compile errors, panics) without paying for a real
-# measurement run.
+echo "== benchmark smoke (router and model hot paths compile and run) =="
+# One iteration of the routing benchmarks, uniform and guided, the matmul
+# kernels at the served PP-edge shape, and the model's session cycle at the
+# golden and served sizes: catches benchmarks that rot (compile errors,
+# panics) without paying for a real measurement run.
 go test -run=NONE -bench=RouteOTA1 -benchtime=1x .
 go test -run=NONE -bench='BenchmarkAstarCore|BenchmarkRouteNegotiation$|BenchmarkRouteNegotiationGuided$' -benchtime=1x ./internal/route/
+go test -run=NONE -bench='BenchmarkMatMulKernels' -benchtime=1x ./internal/tensor/
+go test -run=NONE -bench='BenchmarkModelCore' -benchtime=1x ./internal/gnn3d/
 
 echo "== layered benchmark module tests =="
 # bench/ is a Go module of its own (it replaces analogfold with ../), so the
