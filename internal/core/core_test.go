@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"analogfold/internal/gnn3d"
+	"analogfold/internal/hetgraph"
 	"analogfold/internal/netlist"
 	"analogfold/internal/place"
+	"analogfold/internal/relax"
 	"analogfold/internal/route"
 )
 
@@ -199,6 +202,54 @@ func TestDeriveGuidanceFeasible(t *testing.T) {
 	}
 	if len(gd.PerNet) != len(f.Circuit.Nets) {
 		t.Errorf("guidance size %d", len(gd.PerNet))
+	}
+}
+
+// TestRelaxSettingsSharedAcrossPaths pins that every path deriving guidance
+// relaxes with the same settings: the CLI's cold flow (RunAnalogFold) and its
+// figure guidance (DeriveGuidance), and the daemon's warm flow
+// (RunAnalogFoldWarm, /v1/route) and /v1/guidance (DeriveGuidanceWarm, plus
+// the deferred form that differs only in DeferScoring).
+func TestRelaxSettingsSharedAcrossPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains twice in -short mode")
+	}
+	var got []relax.Config
+	relaxOptimize = func(ctx context.Context, m *gnn3d.Model, hg *hetgraph.Graph, cfg relax.Config) (*relax.Result, error) {
+		got = append(got, cfg)
+		return relax.Optimize(ctx, m, hg, cfg)
+	}
+	defer func() { relaxOptimize = relax.Optimize }()
+
+	ctx := context.Background()
+	f, err := NewFlow(netlist.OTA1(), place.ProfileA, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, hg, err := f.LoadOrTrainModel(ctx, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []struct {
+		name     string
+		deferred bool
+		run      func() error
+	}{
+		{"cold flow", false, func() error { _, err := f.RunAnalogFold(ctx); return err }},
+		{"figure guidance", false, func() error { _, err := f.DeriveGuidance(ctx); return err }},
+		{"warm flow", false, func() error { _, err := f.RunAnalogFoldWarm(ctx, model, hg); return err }},
+		{"warm guidance", false, func() error { _, err := f.DeriveGuidanceWarm(ctx, model, hg); return err }},
+		{"deferred guidance", true, func() error { _, err := f.DeriveGuidanceDeferred(ctx, model, hg); return err }},
+	}
+	for _, p := range paths {
+		got = nil
+		if err := p.run(); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		want := relax.Config{Restarts: 3, NDerive: 2, Seed: 1, MaxIter: 25, DeferScoring: p.deferred}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("%s: relaxed with %+v, want one relaxation with %+v", p.name, got, want)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"analogfold/internal/gnn3d"
 	"analogfold/internal/guidance"
 	"analogfold/internal/hetgraph"
-	"analogfold/internal/relax"
 	"analogfold/internal/route"
 )
 
@@ -41,9 +40,7 @@ func (f *Flow) DeriveGuidance(ctx context.Context) (guidance.Set, error) {
 	}); err != nil {
 		return guidance.Set{}, fmt.Errorf("core: derive: %w", err)
 	}
-	rres, err := relax.Optimize(ctx, model, hg, relax.Config{
-		Restarts: o.RelaxRestarts, NDerive: 1, Seed: o.Seed, Workers: o.Workers,
-	})
+	rres, err := relaxOptimize(ctx, model, hg, o.relaxConfig())
 	if err != nil {
 		return guidance.Set{}, fmt.Errorf("core: derive: %w", err)
 	}

@@ -76,6 +76,20 @@ type Options struct {
 	TotalTimeout time.Duration
 }
 
+// relaxConfig returns the potential-relaxation settings every AnalogFold
+// path derives guidance with: the cold and warm flows, the daemon's
+// /v1/guidance and the rendered figures. One constructor keeps them equal.
+func (o Options) relaxConfig() relax.Config {
+	return relax.Config{
+		Restarts: o.RelaxRestarts, NDerive: o.NDerive, Seed: o.Seed,
+		MaxIter: 25, Workers: o.Workers,
+	}
+}
+
+// relaxOptimize is relax.Optimize behind a variable, so tests can observe
+// the settings each path relaxes with.
+var relaxOptimize = relax.Optimize
+
 func (o Options) withDefaults() Options {
 	if o.Samples == 0 {
 		o.Samples = 220
@@ -499,10 +513,7 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 			sctx, cancel := f.stageCtx(ctx)
 			defer cancel()
 			withPhase(sctx, "relaxation", func(pctx context.Context) {
-				rres, err = relax.Optimize(pctx, model, hg, relax.Config{
-					Restarts: o.RelaxRestarts, NDerive: o.NDerive, Seed: o.Seed,
-					MaxIter: 25, Workers: o.Workers,
-				})
+				rres, err = relaxOptimize(pctx, model, hg, o.relaxConfig())
 			})
 		}()
 		if err != nil {

@@ -59,9 +59,9 @@ func (f *Flow) RunAnalogFoldWarm(ctx context.Context, model *gnn3d.Model, hg *he
 
 // DeriveGuidanceWarm runs only the potential relaxation on a warm model and
 // returns every derived guidance set with its potential — the /v1/guidance
-// payload. The relaxation settings mirror RunAnalogFold's, so for a fixed
-// checkpoint, flow and options the guidance here is bit-identical to what the
-// full warm flow routes with.
+// payload. The relaxation settings are RunAnalogFold's (Options.relaxConfig),
+// so for a fixed checkpoint, flow and options the guidance here is
+// bit-identical to what the full warm flow routes with.
 func (f *Flow) DeriveGuidanceWarm(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph) (*relax.Result, error) {
 	return f.deriveGuidance(ctx, model, hg, false)
 }
@@ -90,10 +90,9 @@ func (f *Flow) deriveGuidance(ctx context.Context, model *gnn3d.Model, hg *hetgr
 	var rres *relax.Result
 	var err error
 	withPhase(sctx, "relaxation", func(pctx context.Context) {
-		rres, err = relax.Optimize(pctx, model, hg, relax.Config{
-			Restarts: o.RelaxRestarts, NDerive: o.NDerive, Seed: o.Seed,
-			MaxIter: 25, Workers: o.Workers, DeferScoring: deferScoring,
-		})
+		cfg := o.relaxConfig()
+		cfg.DeferScoring = deferScoring
+		rres, err = relaxOptimize(pctx, model, hg, cfg)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: warm guidance: %w", err)

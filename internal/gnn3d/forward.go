@@ -18,8 +18,9 @@ type constFn func(*tensor.Tensor) *ad.Var
 // full model) or the extent constants of the unfused distance chain (the
 // NoRBF / NoCostAware ablations and the guidance-free M-source relations).
 type relEnv struct {
-	src, dst []int // per-edge message indices (batch-offset when stacked)
-	nDst     int   // scatter bucket count
+	src, dst []int   // per-edge message indices (batch-offset when stacked)
+	nDst     int     // scatter bucket count
+	deg      *ad.Var // [nDst × 1] in-degree column: mix's bias multiplicity
 
 	spec *ad.FusedRBF // fused Eq. (1)–(3) path; nil → chain below
 
@@ -79,10 +80,10 @@ type forwardEnv struct {
 	// Readout: batch == 1 sums node embeddings with a ones-row matmul (the
 	// original formulation); stacked instances scatter rows to their own
 	// instance bucket instead — same additions in the same order per row.
-	batch          int
-	onesAP, onesM  *ad.Var
-	readAP, readM  []int
-	invN           float64
+	batch         int
+	onesAP, onesM *ad.Var
+	readAP, readM []int
+	invN          float64
 
 	// mTile row-tiles the metal encoder output to the stacked node set: M
 	// features carry no guidance, so each instance's initial embeddings are
@@ -108,6 +109,11 @@ func (m *Model) buildRel(g *hetgraph.Graph, es *hetgraph.EdgeSet, srcIsAP bool, 
 			}
 		}
 	}
+	deg := tensor.New(b*dstDomain, 1)
+	for _, d := range re.dst {
+		deg.Data[d]++
+	}
+	re.deg = cf(deg)
 	useGuide := srcIsAP && !m.Cfg.NoCostAware
 	if useGuide && !m.Cfg.NoRBF {
 		// Fused path: Eq. (1)–(3) in one op, no per-edge intermediate tensors.
@@ -271,12 +277,10 @@ func forwardCore(env *forwardEnv, cVar *ad.Var) *ad.Var {
 	psiMM := env.mm.psi(env, nil)
 
 	for _, l := range env.lays {
-		// Update + aggregate (Algorithm 1): each relation computes messages
-		// from gathered source embeddings, scatter-summed at receivers.
-		aggAP := ad.ScatterAdd(l.pp.messages(ad.Gather(vAP, env.pp.src), psiPP, env.pp.tile), env.pp.dst, env.pp.nDst)
-		aggAP = ad.Add(aggAP, ad.ScatterAdd(l.mp.messages(ad.Gather(vM, env.mp.src), psiMP, env.mp.tile), env.mp.dst, env.mp.nDst))
-		aggM := ad.ScatterAdd(l.pm.messages(ad.Gather(vAP, env.pm.src), psiPM, env.pm.tile), env.pm.dst, env.pm.nDst)
-		aggM = ad.Add(aggM, ad.ScatterAdd(l.mm.messages(ad.Gather(vM, env.mm.src), psiMM, env.mm.tile), env.mm.dst, env.mm.nDst))
+		// Update + aggregate (Algorithm 1): each relation's messages,
+		// summed at their receivers.
+		aggAP := ad.Add(l.pp.aggregate(vAP, psiPP, &env.pp), l.mp.aggregate(vM, psiMP, &env.mp))
+		aggM := ad.Add(l.pm.aggregate(vAP, psiPM, &env.pm), l.mm.aggregate(vM, psiMM, &env.mm))
 
 		// Combine φv: v ← v + Σ messages.
 		vAP = ad.Add(vAP, aggAP)

@@ -80,11 +80,13 @@ func (c Config) withDefaults() Config {
 }
 
 // relation is the distance-augmented message module for one edge type:
-// msg = mix(src(v_src) ⊙ rbf(Ψ(d_cost))) — Eq. (5).
+// msg = mix(src(v_src) ⊙ rbf(Ψ(d_cost))) — Eq. (5). Each module is a single
+// affine layer (no activation), which is what lets aggregate move src and mix
+// across the edge gather/scatter exactly.
 type relation struct {
-	src *nn.MLP
-	rbf *nn.MLP
-	mix *nn.MLP
+	src *nn.Linear
+	rbf *nn.Linear
+	mix *nn.Linear
 }
 
 func newRelation(rng *rand.Rand, hidden, k int) *relation {
@@ -92,9 +94,9 @@ func newRelation(rng *rand.Rand, hidden, k int) *relation {
 		k = 1 // NoRBF ablation: raw distance column
 	}
 	return &relation{
-		src: nn.NewMLP(rng, hidden, hidden),
-		rbf: nn.NewMLP(rng, k, hidden),
-		mix: nn.NewMLP(rng, hidden, hidden),
+		src: nn.NewLinear(hidden, hidden, rng),
+		rbf: nn.NewLinear(k, hidden, rng),
+		mix: nn.NewLinear(hidden, hidden, rng),
 	}
 }
 
@@ -106,18 +108,24 @@ func (r *relation) params() []*ad.Var {
 	return ps
 }
 
-// messages computes per-edge messages from gathered source embeddings and the
-// RBF-expanded cost distance. A non-nil tile means psi covers only the base
-// (single-instance) edge set of a stacked batch: the rbf MLP runs once on
-// those rows and the result is row-tiled to the full edge set — the expansion
-// is guidance-independent there, so every instance's rows are the same bits.
-func (r *relation) messages(vSrc, psi *ad.Var, tile []int) *ad.Var {
-	s := r.src.Forward(vSrc)
+// aggregate returns the summed incoming messages of every destination node,
+// Σ_{e→i} mix(src(v_src(e)) ⊙ rbf(Ψ_e)), given the source node embeddings v
+// and the relation's distance expansion psi. Because src and mix are affine,
+// src runs on the source node rows before the gather, and mix's weight runs
+// on the destination node rows after the scatter, with its bias added
+// in-degree times (deg ⊗ b); only rbf, whose input Ψ is per edge, runs on
+// edge rows. A non-nil re.tile means psi covers only the base
+// (single-instance) edge set of a stacked batch: rbf runs once on those rows
+// and the result is row-tiled to the full edge set — the expansion is
+// guidance-independent there, so every instance's rows are the same bits.
+func (r *relation) aggregate(v, psi *ad.Var, re *relEnv) *ad.Var {
+	s := ad.Gather(r.src.Forward(v), re.src)
 	rb := r.rbf.Forward(psi)
-	if tile != nil {
-		rb = ad.Gather(rb, tile)
+	if re.tile != nil {
+		rb = ad.Gather(rb, re.tile)
 	}
-	return r.mix.Forward(ad.Mul(s, rb))
+	sum := ad.ScatterAdd(ad.Mul(s, rb), re.dst, re.nDst)
+	return ad.Add(ad.MatMul(sum, r.mix.W), ad.MatMul(re.deg, r.mix.B))
 }
 
 // frozen returns a non-differentiable view sharing r's weights.

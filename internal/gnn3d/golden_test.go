@@ -28,10 +28,14 @@ import (
 // inference stack on OTA1–OTA4: Predict outputs, the potential and its
 // gradient (the relaxation's objective), full relax trajectories, and the
 // routed result driven by the derived guidance. The file
-// testdata/golden_model.json was recorded from the pre-optimization
-// (allocating, unfused, sequential) implementation, so any divergence means
-// a kernel or scheduling change altered floating-point behavior instead of
-// just speed. Regenerate deliberately with:
+// testdata/golden_model.json was recorded from the node-row message
+// formulation (relation.aggregate: src before the edge gather, mix after the
+// scatter). The allocating, fused-RBF, tape and batched execution strategies
+// all reproduce it bit for bit, so any divergence means a kernel or
+// scheduling change altered floating-point behavior instead of just speed. A
+// deliberate change of formulation re-records it, after the per-edge oracle
+// (TestNodeRowMessagesMatchEdgeOracle, oracle_test.go) shows that the
+// change is rounding only. Regenerate deliberately with:
 //
 //	go test ./internal/gnn3d/ -run TestModelGoldenEquivalence -update-golden
 var updateModelGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_model.json from the current model stack")
@@ -215,7 +219,7 @@ func modelGoldenEntryFor(t testing.TB, name string, c *netlist.Circuit, seed int
 // sessions versus the clone-per-worker reference path (Config.NoTape), 1
 // versus 8 workers, and batched versus sequential candidate scoring. Combined
 // with TestModelGoldenEquivalence (which pins the default strategy against the
-// pre-optimization recording), this proves no strategy changes the numbers.
+// recorded golden), this proves no strategy changes the numbers.
 func TestModelGoldenTapeAndWorkers(t *testing.T) {
 	hg, _ := goldenGraph(t, netlist.OTA1(), 11)
 	m := goldenModel(t, hg, 11)
@@ -306,7 +310,7 @@ func modelGoldenBenchmarks() []struct {
 }
 
 // TestModelGoldenEquivalence asserts the inference stack reproduces the
-// pinned pre-optimization outputs bit-for-bit on OTA1–OTA4.
+// pinned outputs of golden_model.json bit-for-bit on OTA1–OTA4.
 func TestModelGoldenEquivalence(t *testing.T) {
 	cfg := goldenRelaxConfig()
 	got := map[string]modelGoldenEntry{}

@@ -82,6 +82,35 @@ func medianWall(tb testing.TB, reps int, fn func() error) time.Duration {
 	return times[len(times)/2]
 }
 
+// medianWallPaired times a and b in reps interleaved pairs, alternating which
+// of the two runs first, and returns a's median wall time and, for b, that
+// median plus the median per-pair difference b − a. Timing all of a's reps
+// and then all of b's lands host drift on one side of an overhead
+// comparison; differencing within a pair cancels the drift both halves
+// share, and a real overhead still adds to every difference.
+func medianWallPaired(tb testing.TB, reps int, a, b func() error) (time.Duration, time.Duration) {
+	tb.Helper()
+	fns := [2]func() error{a, b}
+	var at, deltas []time.Duration
+	for i := 0; i < reps; i++ {
+		var d [2]time.Duration
+		for k := 0; k < 2; k++ {
+			side := (i + k) % 2
+			t0 := time.Now()
+			if err := fns[side](); err != nil {
+				tb.Fatal(err)
+			}
+			d[side] = time.Since(t0)
+		}
+		at = append(at, d[0])
+		deltas = append(deltas, d[1]-d[0])
+	}
+	for _, ts := range [][]time.Duration{at, deltas} {
+		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	}
+	return at[reps/2], at[reps/2] + deltas[reps/2]
+}
+
 // BenchmarkObsOverhead measures each instrumented hot path — negotiated
 // routing and potential relaxation — with the telemetry sink detached (the
 // production default for library callers) and attached, and writes
@@ -214,11 +243,12 @@ func TestObsOverheadSmoke(t *testing.T) {
 	if err := run(context.Background()); err != nil { // warm-up
 		t.Fatal(err)
 	}
-	const reps = 5
-	off := medianWall(t, reps, func() error { return run(context.Background()) })
+	const reps = 9
 	tel := obs.New(obs.Options{Seed: 1})
 	ctx := obs.WithTelemetry(context.Background(), tel)
-	on := medianWall(t, reps, func() error { return run(ctx) })
+	off, on := medianWallPaired(t, reps,
+		func() error { return run(context.Background()) },
+		func() error { return run(ctx) })
 
 	slack := 10 * time.Millisecond
 	budget := time.Duration(float64(off)*1.05) + slack
@@ -253,17 +283,15 @@ func TestPropagationOverheadSmoke(t *testing.T) {
 	if err := run(ctxOff); err != nil { // warm-up
 		t.Fatal(err)
 	}
-	const reps = 5
-	off := medianWall(t, reps, func() error {
-		sctx, span := obs.StartSpan(ctxOff, "request")
-		defer span.End()
-		return run(sctx)
-	})
-
+	const reps = 9
 	telOn := obs.New(obs.Options{Seed: 1})
 	remote := obs.TraceContext{TraceID: "0123456789abcdef0123456789abcdef", SpanID: 0x42}
 	var exported int
-	on := medianWall(t, reps, func() error {
+	off, on := medianWallPaired(t, reps, func() error {
+		sctx, span := obs.StartSpan(ctxOff, "request")
+		defer span.End()
+		return run(sctx)
+	}, func() error {
 		ctx := obs.WithTelemetry(context.Background(), telOn)
 		ctx = obs.WithRemoteParent(ctx, remote)
 		col := obs.NewSpanCollector(obs.MaxExportSpans)
