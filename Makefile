@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzMatMulKernels -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
+	$(GO) test -run '^$$' -fuzz FuzzPQHeapOrder -fuzztime 10s ./internal/route/
 
 bench:
 	$(GO) test -bench=. -benchmem .

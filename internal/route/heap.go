@@ -1,64 +1,65 @@
 package route
 
-// pqHeap is the A* open list: a binary min-heap on f, specialized to
-// (cell, f) pairs so pushes and pops never box through interface{} the way
-// container/heap does. The sift-up/sift-down algorithm mirrors
-// container/heap exactly — strict less-than comparisons, first child
-// preferred on ties — so replacing the boxed heap preserves the pop order
-// (and therefore the routed result) bit for bit. Storage is
-// struct-of-arrays to avoid padding and is reused across searches via
-// reset(), which keeps capacity.
+// pqHeap is the A* open list: a binary min-heap of (f, cell) entries,
+// specialized so pushes and pops never box through interface{} the way
+// container/heap does. Sifts move a hole instead of swapping: the moving
+// entry is held aside and written once where it settles. The comparisons
+// mirror container/heap exactly — strict less-than, first child preferred
+// on ties — so the pop order (and therefore the routed result) is the same
+// bit for bit (FuzzPQHeapOrder). The backing slice is reused across
+// searches via reset(), which keeps capacity.
 type pqHeap struct {
-	cell []int32
-	f    []float64
+	items []pqEntry
 }
 
-func (h *pqHeap) len() int { return len(h.cell) }
-
-func (h *pqHeap) reset() {
-	h.cell = h.cell[:0]
-	h.f = h.f[:0]
+type pqEntry struct {
+	f    float64
+	cell int32
 }
+
+func (h *pqHeap) len() int { return len(h.items) }
+
+func (h *pqHeap) reset() { h.items = h.items[:0] }
 
 func (h *pqHeap) push(cell int32, f float64) {
-	h.cell = append(h.cell, cell)
-	h.f = append(h.f, f)
-	// Sift up (container/heap.Push semantics).
-	j := len(h.cell) - 1
+	h.items = append(h.items, pqEntry{})
+	items := h.items
+	j := len(items) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if h.f[j] >= h.f[i] {
+		if f >= items[i].f {
 			break
 		}
-		h.cell[i], h.cell[j] = h.cell[j], h.cell[i]
-		h.f[i], h.f[j] = h.f[j], h.f[i]
+		items[j] = items[i]
 		j = i
 	}
+	items[j] = pqEntry{f: f, cell: cell}
 }
 
 func (h *pqHeap) pop() (int32, float64) {
-	top, topF := h.cell[0], h.f[0]
-	n := len(h.cell) - 1
-	h.cell[0], h.f[0] = h.cell[n], h.f[n]
-	h.cell = h.cell[:n]
-	h.f = h.f[:n]
-	// Sift down (container/heap.Pop semantics).
+	items := h.items
+	top := items[0]
+	n := len(items) - 1
+	x := items[n]
+	h.items = items[:n]
+	if n == 0 {
+		return top.cell, top.f
+	}
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.f[j2] < h.f[j1] {
+		if j2 := j + 1; j2 < n && items[j2].f < items[j].f {
 			j = j2
 		}
-		if h.f[j] >= h.f[i] {
+		if items[j].f >= x.f {
 			break
 		}
-		h.cell[i], h.cell[j] = h.cell[j], h.cell[i]
-		h.f[i], h.f[j] = h.f[j], h.f[i]
+		items[i] = items[j]
 		i = j
 	}
-	return top, topF
+	items[i] = x
+	return top.cell, top.f
 }

@@ -77,12 +77,14 @@ go test -race -count=1 -tags faultinject ./internal/cluster/
 echo "== fuzz smoke (10s per target) =="
 # Short native-fuzz budgets: enough to catch a freshly introduced panic or
 # untyped error on the input-facing surfaces (netlist builder, tensor
-# constructors), or a matmul kernel whose bits drift from the naive reference
-# loops, cheap enough to run every time.
+# constructors), a matmul kernel whose bits drift from the naive reference
+# loops, or an A* open list whose pop order drifts from the swapping
+# reference heap, cheap enough to run every time.
 go test -run '^$' -fuzz FuzzNetlistBuild -fuzztime 10s ./internal/netlist/
 go test -run '^$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
 go test -run '^$' -fuzz FuzzMatMulKernels -fuzztime 10s ./internal/tensor/
 go test -run '^$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
+go test -run '^$' -fuzz FuzzPQHeapOrder -fuzztime 10s ./internal/route/
 
 echo "== benchmark smoke (router and model hot paths compile and run) =="
 # One iteration of the routing benchmarks, uniform and guided, the matmul
