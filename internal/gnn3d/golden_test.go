@@ -30,9 +30,11 @@ import (
 // routed result driven by the derived guidance. The file
 // testdata/golden_model.json was recorded from the node-row message
 // formulation (relation.aggregate: src before the edge gather, mix after the
-// scatter). The allocating, fused-RBF, tape and batched execution strategies
-// all reproduce it bit for bit, so any divergence means a kernel or
-// scheduling change altered floating-point behavior instead of just speed. A
+// scatter); its OTA1 route_* fields were re-recorded when A*'s z term became
+// the via cost (internal/route), with every model field unchanged. The
+// allocating, fused-RBF, tape and batched execution strategies all reproduce
+// it bit for bit, so any divergence means a kernel or scheduling change
+// altered floating-point behavior instead of just speed. A
 // deliberate change of formulation re-records it, after the per-edge oracle
 // (TestNodeRowMessagesMatchEdgeOracle, oracle_test.go) shows that the
 // change is rounding only. Regenerate deliberately with:

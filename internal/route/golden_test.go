@@ -23,9 +23,13 @@ import (
 // The golden-equivalence suite pins the router's exact output on every OTA
 // benchmark: the routed cell set (as an FNV-1a digest), the Result totals,
 // and the Table-2 metrics obtained through the extract → simulate chain.
-// The file testdata/golden_route.json was recorded from the pre-optimization
-// router, so any divergence means a hot-path change altered behavior instead
-// of just speed. Regenerate deliberately with:
+// The file testdata/golden_route.json was last re-recorded when A*'s z term
+// became the via cost, which changes which of several near-equal paths a
+// search settles on. A speed-only change must reproduce it bit for bit, so
+// any divergence means a hot-path change altered behavior instead of just
+// speed. A deliberate change of search behavior re-records it, after
+// TestGuidedSearchOptimal shows every peerless search still finds a
+// cheapest path. Regenerate deliberately with:
 //
 //	go test ./internal/route/ -run TestGoldenEquivalence -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_route.json from the current router")

@@ -14,9 +14,10 @@ import (
 )
 
 // checkAxisBounds asserts that the heuristic scales prepNetCosts derived for
-// net ni are per-axis lower bounds on every planar step the search may take
-// (layers z ≤ maxZ), that each is attained on some open layer, and that the
-// bound is never looser than the old single scale min(multX, multY, 1).
+// net ni are per-axis lower bounds on every step the search may take: hX and
+// hY are the cheapest planar steps on the open layers (z ≤ maxZ), never
+// looser than the old single scale min(multX, multY, 1), and hZ is the via
+// step itself.
 func checkAxisBounds(t *testing.T, r *Router, ni int, gv guidance.Vec) {
 	t.Helper()
 	r.prepNetCosts(ni, gv)
@@ -35,8 +36,8 @@ func checkAxisBounds(t *testing.T, r *Router, ni int, gv guidance.Vec) {
 	if old := math.Min(math.Min(r.stepMult(gv[0]), r.stepMult(gv[1])), 1); r.hX < old || r.hY < old {
 		t.Fatalf("net %d guidance %v: hX=%g hY=%g looser than the scalar bound %g", ni, gv, r.hX, r.hY, old)
 	}
-	if r.hZ > r.stepZ {
-		t.Fatalf("net %d guidance %v: z scale %g exceeds the via cost %g", ni, gv, r.hZ, r.stepZ)
+	if r.hZ != r.stepZ {
+		t.Fatalf("net %d guidance %v: z scale %g, want the via step %g", ni, gv, r.hZ, r.stepZ)
 	}
 }
 
@@ -55,11 +56,10 @@ func flippedSim40() *tech.Tech {
 }
 
 // TestHeuristicAxisBounds checks the per-axis A* scales against the step-cost
-// tables they summarize: under uniform guidance (where they must all be 1, the
-// old scale, so uniform routes are unchanged), sampled guidance, guidance
-// floored by MinMult, a via cost below the planar scale, and a layer ceiling
-// that leaves only a vertical layer open (where every x step is wrong-way and
-// hX must carry the penalty).
+// tables they summarize: under uniform guidance (where they must be
+// (1, 1, ViaCost)), sampled guidance, guidance floored by MinMult, and a
+// layer ceiling that leaves only a vertical layer open (where every x step is
+// wrong-way and hX must carry the penalty).
 func TestHeuristicAxisBounds(t *testing.T) {
 	c := netlist.OTA1()
 	g := buildGrid(t, c, 1)
@@ -67,8 +67,8 @@ func TestHeuristicAxisBounds(t *testing.T) {
 	uniform := guidance.Uniform(len(c.Nets))
 	for ni := range c.Nets {
 		checkAxisBounds(t, r, ni, uniform.PerNet[ni])
-		if r.hX != 1 || r.hY != 1 || r.hZ != 1 {
-			t.Fatalf("net %d uniform: scales (%g, %g, %g), want all 1", ni, r.hX, r.hY, r.hZ)
+		if r.hX != 1 || r.hY != 1 || r.hZ != r.cfg.ViaCost {
+			t.Fatalf("net %d uniform: scales (%g, %g, %g), want (1, 1, %g)", ni, r.hX, r.hY, r.hZ, r.cfg.ViaCost)
 		}
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -82,13 +82,6 @@ func TestHeuristicAxisBounds(t *testing.T) {
 	checkAxisBounds(t, r, 0, floored)
 	if r.hX != r.cfg.MinMult || r.hY != r.cfg.MinMult {
 		t.Fatalf("floored guidance: hX=%g hY=%g, want MinMult %g", r.hX, r.hY, r.cfg.MinMult)
-	}
-
-	// A via cheaper than the capped planar scale caps the z term.
-	cheapVia := NewRouter(g, Config{ViaCost: 1})
-	checkAxisBounds(t, cheapVia, 0, floored)
-	if cheapVia.hZ != cheapVia.stepZ {
-		t.Fatalf("cheap vias: z scale %g, want the via cost %g", cheapVia.hZ, cheapVia.stepZ)
 	}
 
 	p, err := place.Place(c, place.Config{Profile: place.ProfileA, Seed: 1, Iterations: 2000})
@@ -115,58 +108,74 @@ func TestHeuristicAxisBounds(t *testing.T) {
 }
 
 // TestGuidedSearchOptimal is the optimality oracle for the per-axis
-// heuristic: on OTA1–OTA4 under seeded sampled guidance, every search of a
-// net without a symmetric peer must find a path exactly as cheap as a
-// zero-heuristic (Dijkstra) search run from the same router state. Nets with
-// a peer are skipped: the SymDiscount on the peer's mirror cells can price a
-// step below the bound, the one known gap in its admissibility. The test
-// runs on one goroutine, so under the race detector it keeps only OTA1.
+// heuristic: on OTA1–OTA5 under seeded sampled guidance and under uniform
+// guidance, every search of a net without a symmetric peer must find a path
+// exactly as cheap as a zero-heuristic (Dijkstra) search run from the same
+// router state. Nets with a peer are skipped: the SymDiscount on the peer's
+// mirror cells can price a step below the bound, the one known gap in its
+// admissibility. Under the race detector it keeps only OTA1.
 func TestGuidedSearchOptimal(t *testing.T) {
-	circuits := []*netlist.Circuit{netlist.OTA1(), netlist.OTA2(), netlist.OTA3(), netlist.OTA4()}
+	circuits := []*netlist.Circuit{netlist.OTA1(), netlist.OTA2(), netlist.OTA3(), netlist.OTA4(), netlist.OTA5()}
 	if raceEnabled {
 		circuits = circuits[:1]
 	}
 	for i, c := range circuits {
 		c, seed := c, int64(100+i)
 		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
 			g := buildGrid(t, c, 1)
-			gd := guidance.Sample(len(c.Nets), rand.New(rand.NewSource(seed)), guidance.DefaultCMax)
-			r := NewRouter(g, Config{})
-			checked, popsA, popsD := 0, 0, 0
-			r.searchHook = func(ni, iter int, targets []geom.Point3, hard bool, path []geom.Point3) {
-				if r.symPeer(ni) >= 0 {
-					return
-				}
-				got := r.dist[g.CellIndex(path[len(path)-1])]
-				// Repeat the search (it is deterministic and leaves the router
-				// state alone) to count its pops, then run it without a heuristic.
-				before := r.ctxPolls
-				if _, err := r.astar(ni, iter, targets, hard); err != nil {
-					t.Fatalf("net %d: repeated search: %v", ni, err)
-				}
-				popsA += r.ctxPolls - before
-				hX, hY, hZ := r.hX, r.hY, r.hZ
-				r.hX, r.hY, r.hZ = 0, 0, 0
-				before = r.ctxPolls
-				ref, err := r.astar(ni, iter, targets, hard)
-				popsD += r.ctxPolls - before
-				r.hX, r.hY, r.hZ = hX, hY, hZ
-				if err != nil {
-					t.Fatalf("net %d: Dijkstra found no path where A* did: %v", ni, err)
-				}
-				want := r.dist[g.CellIndex(ref[len(ref)-1])]
-				if math.Abs(got-want) > 1e-9*math.Max(1, want) {
-					t.Errorf("net %s iter %d: A* path cost %.12g, Dijkstra %.12g", c.Nets[ni].Name, iter, got, want)
-				}
-				checked++
+			arms := []struct {
+				name string
+				gd   guidance.Set
+			}{
+				{"sampled", guidance.Sample(len(c.Nets), rand.New(rand.NewSource(seed)), guidance.DefaultCMax)},
+				{"uniform", guidance.Uniform(len(c.Nets))},
 			}
-			if _, err := r.Run(gd); err != nil {
-				t.Fatal(err)
+			for _, arm := range arms {
+				checkSearchOptimal(t, g, c, arm.name, arm.gd)
 			}
-			if checked == 0 {
-				t.Fatal("no peerless search was checked")
-			}
-			t.Logf("%d searches checked; pops A* %d vs Dijkstra %d", checked, popsA, popsD)
 		})
 	}
+}
+
+// checkSearchOptimal routes c under gd and compares every peerless A* search
+// against Dijkstra from the same router state.
+func checkSearchOptimal(t *testing.T, g *grid.Grid, c *netlist.Circuit, arm string, gd guidance.Set) {
+	t.Helper()
+	r := NewRouter(g, Config{})
+	checked, popsA, popsD := 0, 0, 0
+	r.searchHook = func(ni, iter int, targets []geom.Point3, hard bool, path []geom.Point3) {
+		if r.symPeer(ni) >= 0 {
+			return
+		}
+		got := r.dist[g.CellIndex(path[len(path)-1])]
+		// Repeat the search (it is deterministic and leaves the router
+		// state alone) to count its pops, then run it without a heuristic.
+		before := r.ctxPolls
+		if _, err := r.astar(ni, iter, targets, hard); err != nil {
+			t.Fatalf("%s net %d: repeated search: %v", arm, ni, err)
+		}
+		popsA += r.ctxPolls - before
+		hX, hY, hZ := r.hX, r.hY, r.hZ
+		r.hX, r.hY, r.hZ = 0, 0, 0
+		before = r.ctxPolls
+		ref, err := r.astar(ni, iter, targets, hard)
+		popsD += r.ctxPolls - before
+		r.hX, r.hY, r.hZ = hX, hY, hZ
+		if err != nil {
+			t.Fatalf("%s net %d: Dijkstra found no path where A* did: %v", arm, ni, err)
+		}
+		want := r.dist[g.CellIndex(ref[len(ref)-1])]
+		if math.Abs(got-want) > 1e-9*math.Max(1, want) {
+			t.Errorf("%s net %s iter %d: A* path cost %.12g, Dijkstra %.12g", arm, c.Nets[ni].Name, iter, got, want)
+		}
+		checked++
+	}
+	if _, err := r.Run(gd); err != nil {
+		t.Fatalf("%s: %v", arm, err)
+	}
+	if checked == 0 {
+		t.Fatalf("%s: no peerless search was checked", arm)
+	}
+	t.Logf("%s %s: %d searches checked; pops A* %d vs Dijkstra %d", c.Name, arm, checked, popsA, popsD)
 }

@@ -162,17 +162,16 @@ func (r *Router) prepNetCosts(ni int, gv guidance.Vec) {
 	r.stepZ = r.cfg.ViaCost * multZ
 	r.maxZ = maxZ
 	// Per-axis heuristic scales: the cheapest step the search can take along
-	// x (resp. y) on any layer it may enter, so hX·dx + hY·dy never exceeds
-	// the planar cost of reaching the target box. The z term keeps the old
-	// scalar, the cheaper planar multiplier capped at 1, which keeps
-	// uniform-guidance routes unchanged; the via cost only caps it when
-	// ViaCost·MinMult < 1, never at the defaults.
+	// each axis. hX (resp. hY) is the cheapest x (y) step on any layer the
+	// net may enter, and every layer hop costs at least the via step stepZ,
+	// so hX·dx + hY·dy + hZ·dz never exceeds the cost of reaching the target
+	// box.
 	r.hX, r.hY = math.Inf(1), math.Inf(1)
 	for z := 0; z <= maxZ; z++ {
 		r.hX = minF(r.hX, r.stepX[z])
 		r.hY = minF(r.hY, r.stepY[z])
 	}
-	r.hZ = minF(minF(minF(multX, multY), 1), r.stepZ)
+	r.hZ = r.stepZ
 }
 
 // routeNetImpl routes one net. It requires the net to be ripped up first
@@ -323,11 +322,11 @@ func (r *Router) astar(ni int, iter int, targets []geom.Point3, hard bool) ([]ge
 	maxZ := r.maxZ
 
 	// Heuristic: per-axis scaled distance to the targets' bounding box. Every
-	// x step costs at least hX and every y step at least hY (congestion and
-	// history only add), so the bound is a lower bound on the remaining path
-	// cost — except on the symmetric peer's mirror cells, whose SymDiscount
-	// can take a step below it; there the search may settle for a slightly
-	// costlier path.
+	// x step costs at least hX, every y step at least hY and every layer hop
+	// at least hZ (congestion and history only add), so the bound is a lower
+	// bound on the remaining path cost — except on the symmetric peer's
+	// mirror cells, whose SymDiscount can take a step below it; there the
+	// search may settle for a slightly costlier path.
 	loX, loY, loZ := math.MaxInt32, math.MaxInt32, math.MaxInt32
 	hiX, hiY, hiZ := math.MinInt32, math.MinInt32, math.MinInt32
 	for _, t := range targets {
