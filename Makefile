@@ -77,7 +77,7 @@ bench-parallel:
 # bench-route measures the detailed-router hot path per OTA benchmark
 # (wall time, allocs, routed quality) and writes BENCH_route.json; the
 # in-package micro-benchmarks cover the A* core and the negotiation loop under
-# uniform guidance, sampled guidance and the selective schedule.
+# uniform and sampled guidance.
 bench-route:
 	$(GO) test -run NONE -bench BenchmarkRouteReport -benchtime 1x .
 	$(GO) test -run NONE -bench 'BenchmarkAstarCore|BenchmarkRouteNegotiation' -benchmem -benchtime 100x ./internal/route/

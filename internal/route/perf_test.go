@@ -166,60 +166,6 @@ func TestPinGroupsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSelectiveRerouteStillValid exercises the worklist-driven negotiation:
-// the opt-in schedule must still produce connected, conflict-free,
-// obstacle-respecting routing on every benchmark (topology may legitimately
-// differ from the default schedule).
-func TestSelectiveRerouteStillValid(t *testing.T) {
-	for _, c := range netlist.Benchmarks() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			g := buildGrid(t, c, 1)
-			gd := guidance.Uniform(len(c.Nets))
-			res, err := Route(g, gd, Config{SelectiveReroute: true})
-			if err != nil {
-				t.Fatalf("selective reroute: %v", err)
-			}
-			occ := map[geom.Point3]int{}
-			for ni, cells := range res.NetCells {
-				if !connected(g, cells, ni) {
-					t.Errorf("net %s not connected", c.Nets[ni].Name)
-				}
-				for _, cell := range cells {
-					if g.Blocked(cell) {
-						t.Errorf("net %d uses blocked cell %v", ni, cell)
-					}
-					if prev, ok := occ[cell]; ok && prev != ni {
-						t.Errorf("cell %v used by nets %d and %d", cell, prev, ni)
-					}
-					occ[cell] = ni
-				}
-			}
-		})
-	}
-}
-
-// TestSelectiveRerouteQualityClose checks the worklist schedule does not
-// blow up quality: it skips clean nets, so it can only do the same or less
-// rerouting work per iteration, and on a benchmark that converges quickly it
-// should land within a small band of the default result.
-func TestSelectiveRerouteQualityClose(t *testing.T) {
-	c := netlist.OTA1()
-	g := buildGrid(t, c, 1)
-	gd := guidance.Uniform(len(c.Nets))
-	def := mustRoute(t, g, gd)
-	sel, err := Route(g, gd, Config{SelectiveReroute: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.WirelengthNm > def.WirelengthNm*3/2 {
-		t.Errorf("selective reroute wirelength %d far above default %d", sel.WirelengthNm, def.WirelengthNm)
-	}
-	if sel.Iterations > def.Iterations {
-		t.Errorf("selective reroute took %d iterations, default %d", sel.Iterations, def.Iterations)
-	}
-}
-
 // BenchmarkAstarCore measures one steady-state multi-source A* search — the
 // innermost routing unit — with allocation reporting.
 func BenchmarkAstarCore(b *testing.B) {
@@ -266,25 +212,6 @@ func BenchmarkRouteNegotiationGuided(b *testing.B) {
 	g := buildGrid(b, c, 1)
 	gd := guidance.Sample(len(c.Nets), rand.New(rand.NewSource(1)), guidance.DefaultCMax)
 	r := NewRouter(g, Config{})
-	if _, err := r.Run(gd); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(gd); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRouteNegotiationSelective is BenchmarkRouteNegotiation under the
-// conflicted-net worklist schedule, for an apples-to-apples comparison.
-func BenchmarkRouteNegotiationSelective(b *testing.B) {
-	c := netlist.OTA1()
-	g := buildGrid(b, c, 1)
-	gd := guidance.Uniform(len(c.Nets))
-	r := NewRouter(g, Config{SelectiveReroute: true})
 	if _, err := r.Run(gd); err != nil {
 		b.Fatal(err)
 	}

@@ -43,16 +43,6 @@ type Config struct {
 	// Order selects the net-ordering strategy (default OrderCritical).
 	Order OrderStrategy
 
-	// SelectiveReroute, when set, makes negotiation iterations after the
-	// first reroute only nets that are currently conflicted (equivalently:
-	// nets whose cells gained history at the last sweep — history only rises
-	// on multi-use cells, and a net touching one is conflicted). Untouched
-	// nets keep their existing paths. The default (false) preserves the
-	// original reroute-everything schedule, whose outputs are pinned by the
-	// golden-equivalence tests; enabling it can change (not degrade) the
-	// routed topology, so it is opt-in.
-	SelectiveReroute bool
-
 	// MaxLayerByType restricts the highest routing layer per net type —
 	// the analog practice of keeping sensitive signals on lower, thinner
 	// metals and reserving thick top metals for supplies. A nil map (the
@@ -260,21 +250,12 @@ func (r *Router) RunCtx(ctx context.Context, gd guidance.Set) (*Result, error) {
 	// the per-net loop body — so the zero-allocation search loop and the
 	// golden route digests are untouched whether or not a sink is attached.
 	tel := obs.FromContext(ctx)
-	var totalRipups, totalSkips int
+	totalRipups := 0
 
 	iter := 0
 	for ; iter < r.cfg.MaxIters; iter++ {
-		conflicts := 0
-		ripups, skips := 0, 0
+		ripups := 0
 		for _, ni := range order {
-			// With SelectiveReroute, later iterations only revisit nets on
-			// the conflict worklist: nets sharing a cell with another net
-			// (which is also exactly the set whose cells gained history at
-			// the last sweep). Everything else keeps its committed path.
-			if r.cfg.SelectiveReroute && iter > 0 && !r.netConflicted(ni, netCells[ni]) {
-				skips++
-				continue
-			}
 			if err := ctx.Err(); err != nil {
 				return nil, fault.FromContext(fault.StageRouting, err).WithNet(ni)
 			}
@@ -292,13 +273,11 @@ func (r *Router) RunCtx(ctx context.Context, gd guidance.Set) (*Result, error) {
 			netPaths[ni] = paths
 			r.commit(ni, cells)
 		}
-		conflicts = r.countConflictsAndRaiseHistory()
+		conflicts := r.countConflictsAndRaiseHistory()
 		totalRipups += ripups
-		totalSkips += skips
 		if tel.Enabled() {
 			obs.Event(ctx, "route.iteration", map[string]any{
-				"iteration": iter, "conflicts": conflicts,
-				"ripups": ripups, "selective_skips": skips,
+				"iteration": iter, "conflicts": conflicts, "ripups": ripups,
 			})
 		}
 		if conflicts == 0 {
@@ -355,7 +334,6 @@ func (r *Router) RunCtx(ctx context.Context, gd guidance.Set) (*Result, error) {
 	reg := tel.Registry()
 	reg.Counter("analogfold_route_negotiation_iters_total").Add(int64(iter))
 	reg.Counter("analogfold_route_ripups_total").Add(int64(totalRipups))
-	reg.Counter("analogfold_route_selective_skips_total").Add(int64(totalSkips))
 	if tel.Enabled() {
 		obs.Event(ctx, "route.done", map[string]any{
 			"iterations": iter, "wirelength_nm": res.WirelengthNm, "vias": res.Vias,
