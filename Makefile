@@ -1,4 +1,6 @@
-# AnalogFold build/test entry points. `make ci` mirrors scripts/ci.sh.
+# AnalogFold build/test entry points. `make ci` runs scripts/ci.sh, which calls
+# the race, chaos, cluster-chaos, fuzz-smoke and bench-test targets below, so
+# their package and fuzz-target lists live here only.
 
 GO ?= go
 
@@ -20,8 +22,11 @@ errcheck:
 
 # race runs the packages that execute work concurrently under the race
 # detector with short settings; the full suite under -race is much slower.
+# ad and tensor are in the list because relax workers share a frozen model's
+# weight tensors across concurrent tape sessions — the race detector proves
+# the read-only sharing contract.
 race:
-	$(GO) test -race ./internal/obs/ ./internal/parallel/ ./internal/relax/ ./internal/circuit/ ./internal/gnn3d/ ./internal/ad/ ./internal/tensor/ ./internal/dataset/ ./internal/route/ ./internal/servecache/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=1 ./internal/obs/ ./internal/parallel/ ./internal/relax/ ./internal/circuit/ ./internal/gnn3d/ ./internal/ad/ ./internal/tensor/ ./internal/dataset/ ./internal/route/ ./internal/servecache/ ./internal/serve/ ./internal/cluster/
 
 # chaos compiles the deterministic fault scheduler into the injection points
 # (faultinject build tag) and runs the fault-injection suite under the race

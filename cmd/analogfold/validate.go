@@ -8,7 +8,6 @@ import (
 	"analogfold/internal/core"
 	"analogfold/internal/dataset"
 	"analogfold/internal/gnn3d"
-	"analogfold/internal/hetgraph"
 	"analogfold/internal/stats"
 	"analogfold/internal/tensor"
 )
@@ -17,10 +16,12 @@ import (
 var metricLabels = [gnn3d.NumMetrics]string{"offset", "CMRR", "bandwidth", "gain", "noise"}
 
 // cmdValidate measures the trained performance model's generalization: it
-// trains on one corpus, labels a fresh held-out corpus, and reports per-
-// metric Pearson and Spearman correlation between predictions and
-// measurements. The Spearman column is the one the relaxation depends on —
-// it only needs guidance candidates to be *ordered* correctly.
+// trains the flow's model (LoadOrTrainModel, the corpus and schedule every
+// other command trains with) on -train samples, labels a fresh held-out
+// corpus on its own seed, and reports per-metric Pearson and Spearman
+// correlation between predictions and measurements. The Spearman column is
+// the one the relaxation depends on — it only needs guidance candidates to
+// be *ordered* correctly.
 func cmdValidate(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
 	bench := fs.String("bench", "OTA1-A", "benchmark")
@@ -34,35 +35,22 @@ func cmdValidate(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := core.NewFlow(c, prof, core.Options{Seed: *seed})
+	f, err := core.NewFlow(c, prof, core.Options{Seed: *seed, Samples: *trainN, TrainEpochs: 60})
 	if err != nil {
 		return err
 	}
+	model, hg, err := f.LoadOrTrainModel(ctx, "")
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: trained on %d samples\n", *bench, *trainN)
 
-	trainDS, err := dataset.Generate(ctx, f.Grid, dataset.Config{
-		Samples: *trainN, Seed: *seed, IncludeUniform: true,
-	})
-	if err != nil {
-		return err
-	}
 	testDS, err := dataset.Generate(ctx, f.Grid, dataset.Config{
 		Samples: *testN, Seed: *seed + 10_000,
 	})
 	if err != nil {
 		return err
 	}
-
-	hg, err := hetgraph.Build(f.Grid, hetgraph.Config{})
-	if err != nil {
-		return err
-	}
-	model := gnn3d.New(gnn3d.Config{Seed: *seed})
-	rep, err := model.Fit(ctx, hg, trainDS.Samples(), gnn3d.TrainConfig{Epochs: 60, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: trained on %d samples (%d epochs run), val loss %.4f\n",
-		*bench, len(trainDS.Entries), len(rep.TrainLoss), rep.FinalVal())
 
 	// One stacked forward labels the whole held-out corpus; each row is
 	// bit-identical to a sequential Predict on that sample.

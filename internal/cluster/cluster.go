@@ -165,7 +165,7 @@ type Coordinator struct {
 	local    http.Handler
 	met      metrics
 	reg      *obs.Registry
-	lat      latHist
+	lat      obs.Histogram // proxy latencies behind the adaptive hedge budget
 	slo      *obs.SLO
 	stages   *obs.StageMetrics
 
@@ -335,7 +335,7 @@ func (c *Coordinator) attempt(ctx context.Context, rep *replica, path string, bo
 		rep.markFailure(false)
 	} else {
 		rep.markSuccess()
-		c.lat.observe(time.Since(start))
+		c.lat.Observe(time.Since(start))
 	}
 	span.Arg("status", resp.StatusCode)
 	out <- &attemptResult{rep: rep, status: resp.StatusCode, header: resp.Header, body: b, hedged: hedged, dur: time.Since(start)}
@@ -376,10 +376,10 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 		return c.cfg.HedgeAfter
 	}
 	const minSamples = 16
-	if c.lat.count.Load() < minSamples {
+	if c.lat.Count() < minSamples {
 		return c.cfg.HedgeAfter
 	}
-	d := c.lat.percentile(c.cfg.HedgePercentile)
+	d := c.lat.Quantile(c.cfg.HedgePercentile)
 	if min := time.Millisecond; d < min {
 		d = min
 	}

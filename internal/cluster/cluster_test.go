@@ -501,7 +501,7 @@ func TestAdaptiveHedgeBudget(t *testing.T) {
 	// 32 observations around 8ms: the budget adapts down to the bucket edge
 	// covering the p95 — 8ms lands in bucket (4,8] → upper edge 16ms.
 	for i := 0; i < 32; i++ {
-		c.lat.observe(8 * time.Millisecond)
+		c.lat.Observe(8 * time.Millisecond)
 	}
 	got := c.hedgeDelay()
 	if got < time.Millisecond || got > 32*time.Millisecond {
@@ -509,7 +509,7 @@ func TestAdaptiveHedgeBudget(t *testing.T) {
 	}
 	// Pathologically slow observations are clamped to AttemptTimeout/2.
 	for i := 0; i < 64; i++ {
-		c.lat.observe(time.Hour)
+		c.lat.Observe(time.Hour)
 	}
 	if got := c.hedgeDelay(); got != 5*time.Second {
 		t.Errorf("clamped budget = %v, want AttemptTimeout/2 = 5s", got)

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"math/bits"
 	"sync/atomic"
-	"time"
 
 	"analogfold/internal/obs"
 )
@@ -169,53 +167,4 @@ func (c *Coordinator) MetricsSnapshot() MetricsSnapshot {
 		})
 	}
 	return m
-}
-
-// latHist is the proxy-latency histogram behind the adaptive hedge budget:
-// power-of-two millisecond buckets (the same scale obs histograms use), all
-// atomics, so the hot path never locks.
-type latHist struct {
-	count   atomic.Int64
-	buckets [22]atomic.Int64 // bucket i holds latencies in [2^(i-1), 2^i) ms
-}
-
-func (h *latHist) observe(d time.Duration) {
-	ms := d.Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	i := bits.Len64(uint64(ms))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-}
-
-// percentile returns the upper edge of the bucket containing the p-quantile
-// observation — a conservative (rounds-up) budget, which is the right bias
-// for a hedge trigger: hedge a touch late rather than double work early.
-func (h *latHist) percentile(p float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	target := int64(p * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return time.Duration(int64(1)<<uint(i)) * time.Millisecond
-		}
-	}
-	return time.Duration(int64(1)<<uint(len(h.buckets)-1)) * time.Millisecond
 }

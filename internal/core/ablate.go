@@ -7,7 +7,6 @@ import (
 
 	"analogfold/internal/dataset"
 	"analogfold/internal/gnn3d"
-	"analogfold/internal/hetgraph"
 	"analogfold/internal/relax"
 )
 
@@ -27,20 +26,20 @@ type AblationResult struct {
 }
 
 // RunAblation trains model variants on one shared dataset and relaxes each,
-// producing the numbers behind the ablation benchmarks.
+// producing the numbers behind the ablation benchmarks. Corpus, training
+// schedule and relaxation settings are the flow's own (datasetConfig,
+// fitModel, relaxConfig with N_derive 1), so the full variant relaxes the
+// model Table 2 routes with.
 func (f *Flow) RunAblation(ctx context.Context) (*AblationResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o := f.Opts
-	ds, err := dataset.Generate(ctx, f.Grid, dataset.Config{
-		Samples: o.Samples, Workers: o.Workers, Seed: o.Seed,
-		RouteCfg: o.RouteCfg, IncludeUniform: true,
-	})
+	ds, err := dataset.Generate(ctx, f.Grid, o.datasetConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: ablation: %w", err)
 	}
-	hg, err := hetgraph.Build(f.Grid, hetgraph.Config{})
+	hg, err := f.BuildHetGraph()
 	if err != nil {
 		return nil, fmt.Errorf("core: ablation: %w", err)
 	}
@@ -63,35 +62,30 @@ func (f *Flow) RunAblation(ctx context.Context) (*AblationResult, error) {
 	res := &AblationResult{}
 	var fullModel *gnn3d.Model
 	for _, v := range variants {
-		var model *gnn3d.Model
-		valLoss := 0.0
-		if v.reuse && fullModel != nil {
-			model = fullModel
+		model, valLoss := fullModel, 0.0
+		if v.reuse {
 			valLoss = res.ValLoss[0]
 		} else {
-			gcfg := o.GNN
-			gcfg.Seed = o.Seed
+			gcfg := o.gnnConfig()
 			if v.gcfg != nil {
 				gcfg = v.gcfg(gcfg)
 			}
-			model = gnn3d.New(gcfg)
-			rep, err := model.Fit(ctx, hg, ds.Samples(), gnn3d.TrainConfig{
-				Epochs: o.TrainEpochs, Seed: o.Seed,
-				BatchSize: o.TrainBatch, Workers: o.Workers,
-			})
+			var rep *gnn3d.TrainReport
+			model, rep, err = f.fitModel(ctx, hg, ds.Samples(), gcfg)
 			if err != nil {
 				return nil, fmt.Errorf("core: ablation %s: %w", v.name, err)
 			}
 			valLoss = bestVal(rep)
-			if v.name == "full" {
+			if fullModel == nil {
 				fullModel = model
 			}
 		}
-		rcfg := relax.Config{Restarts: o.RelaxRestarts, NDerive: 1, Seed: o.Seed, Workers: o.Workers}
+		rcfg := o.relaxConfig()
+		rcfg.NDerive = 1
 		if v.rcfg != nil {
 			rcfg = v.rcfg(rcfg)
 		}
-		rr, err := relax.Optimize(ctx, model, hg, rcfg)
+		rr, err := relaxOptimize(ctx, model, hg, rcfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: ablation %s: %w", v.name, err)
 		}

@@ -55,10 +55,7 @@ func (f *Flow) LoadOrGenerateDatasetExec(ctx context.Context, dir string, exec d
 			}
 		}
 	}
-	cfg := dataset.Config{
-		Samples: f.Opts.Samples, Workers: f.Opts.Workers, Seed: f.Opts.Seed,
-		RouteCfg: f.Opts.RouteCfg, IncludeUniform: true,
-	}
+	cfg := f.Opts.datasetConfig()
 	if exec == nil {
 		exec = dataset.LocalExec(f.Grid, cfg)
 	}
@@ -89,18 +86,17 @@ func (f *Flow) LoadOrGenerateDatasetExec(ctx context.Context, dir string, exec d
 // consistent with this flow — the checkpoint's provenance stamp (circuit name
 // + normalized GNN config) must match, mirroring the dataset path's
 // Circuit/NumNets check — otherwise trains on the (possibly cached) dataset
-// and stores a freshly stamped result. The heterogeneous graph is returned
-// alongside, since every caller needs it.
+// and stores a freshly stamped result. Training goes through fitModel, so
+// the checkpoint holds the weights the cold flow trains. The heterogeneous
+// graph is returned alongside, since every caller needs it.
 func (f *Flow) LoadOrTrainModel(ctx context.Context, dir string) (*gnn3d.Model, *hetgraph.Graph, error) {
-	hg, err := hetgraph.Build(f.Grid, hetgraph.Config{})
+	hg, err := f.BuildHetGraph()
 	if err != nil {
 		return nil, nil, err
 	}
-	gcfg := f.Opts.GNN
-	gcfg.Seed = f.Opts.Seed
 	if dir != "" {
 		if m, err := gnn3d.Load(f.modelPath(dir)); err == nil {
-			if err := m.ValidateStamp(f.Circuit.Name, gcfg); err == nil {
+			if err := m.ValidateStamp(f.Circuit.Name, f.Opts.gnnConfig()); err == nil {
 				return m, hg, nil
 			}
 			// Stale or foreign checkpoint (wrong circuit, different GNN
@@ -112,9 +108,8 @@ func (f *Flow) LoadOrTrainModel(ctx context.Context, dir string) (*gnn3d.Model, 
 	if err != nil {
 		return nil, nil, err
 	}
-	m := gnn3d.New(gcfg)
-	m.Circuit = f.Circuit.Name
-	if _, err := m.Fit(ctx, hg, ds.Samples(), gnn3d.TrainConfig{Epochs: f.Opts.TrainEpochs, Seed: f.Opts.Seed}); err != nil {
+	m, _, err := f.fitModel(ctx, hg, ds.Samples(), f.Opts.gnnConfig())
+	if err != nil {
 		return nil, nil, err
 	}
 	if dir != "" {

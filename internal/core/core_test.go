@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -205,22 +208,60 @@ func TestDeriveGuidanceFeasible(t *testing.T) {
 	}
 }
 
-// TestRelaxSettingsSharedAcrossPaths pins that every path deriving guidance
-// relaxes with the same settings: the CLI's cold flow (RunAnalogFold) and its
-// figure guidance (DeriveGuidance), and the daemon's warm flow
-// (RunAnalogFoldWarm, /v1/route) and /v1/guidance (DeriveGuidanceWarm, plus
-// the deferred form that differs only in DeferScoring).
-func TestRelaxSettingsSharedAcrossPaths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains twice in -short mode")
-	}
-	var got []relax.Config
+// relaxCall is one relaxation a path started: its settings and a digest of
+// the weights of the model it relaxed.
+type relaxCall struct {
+	cfg     relax.Config
+	weights uint64
+}
+
+// recordRelaxations runs fn with the relaxOptimize hook recording every
+// relaxation fn starts, in order.
+func recordRelaxations(t *testing.T, name string, fn func() error) []relaxCall {
+	t.Helper()
+	var calls []relaxCall
 	relaxOptimize = func(ctx context.Context, m *gnn3d.Model, hg *hetgraph.Graph, cfg relax.Config) (*relax.Result, error) {
-		got = append(got, cfg)
+		calls = append(calls, relaxCall{cfg: cfg, weights: weightDigest(m)})
 		return relax.Optimize(ctx, m, hg, cfg)
 	}
 	defer func() { relaxOptimize = relax.Optimize }()
+	if err := fn(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return calls
+}
 
+// weightDigest hashes the bits of every trainable parameter and of the
+// target normalization.
+func weightDigest(m *gnn3d.Model) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for _, p := range m.Params() {
+		for _, v := range p.Value.Data {
+			put(v)
+		}
+	}
+	for _, v := range m.Normalize([gnn3d.NumMetrics]float64{1, 1, 1, 1, 1}) {
+		put(v)
+	}
+	return h.Sum64()
+}
+
+// TestRelaxSettingsSharedAcrossPaths pins that every path deriving guidance
+// relaxes with the same settings: the CLI's cold flow (RunAnalogFold), its
+// figure guidance (DeriveGuidance) and its ablation (RunAblation, N_derive 1,
+// each variant differing only in its own ablated knob), and the daemon's
+// warm flow (RunAnalogFoldWarm, /v1/route) and /v1/guidance
+// (DeriveGuidanceWarm, plus the deferred form that differs only in
+// DeferScoring).
+func TestRelaxSettingsSharedAcrossPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains several models in -short mode")
+	}
 	ctx := context.Background()
 	f, err := NewFlow(netlist.OTA1(), place.ProfileA, quickOpts())
 	if err != nil {
@@ -230,25 +271,86 @@ func TestRelaxSettingsSharedAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := relax.Config{Restarts: 3, NDerive: 2, Seed: 1, MaxIter: 25}
+	deferred, ablation := base, base
+	deferred.DeferScoring = true
+	ablation.NDerive = 1
 	paths := []struct {
-		name     string
-		deferred bool
-		run      func() error
+		name string
+		want relax.Config
+		n    int // relaxations the path runs
+		run  func() error
 	}{
-		{"cold flow", false, func() error { _, err := f.RunAnalogFold(ctx); return err }},
-		{"figure guidance", false, func() error { _, err := f.DeriveGuidance(ctx); return err }},
-		{"warm flow", false, func() error { _, err := f.RunAnalogFoldWarm(ctx, model, hg); return err }},
-		{"warm guidance", false, func() error { _, err := f.DeriveGuidanceWarm(ctx, model, hg); return err }},
-		{"deferred guidance", true, func() error { _, err := f.DeriveGuidanceDeferred(ctx, model, hg); return err }},
+		{"cold flow", base, 1, func() error { _, err := f.RunAnalogFold(ctx); return err }},
+		{"figure guidance", base, 1, func() error { _, err := f.DeriveGuidance(ctx); return err }},
+		{"warm flow", base, 1, func() error { _, err := f.RunAnalogFoldWarm(ctx, model, hg); return err }},
+		{"warm guidance", base, 1, func() error { _, err := f.DeriveGuidanceWarm(ctx, model, hg); return err }},
+		{"deferred guidance", deferred, 1, func() error { _, err := f.DeriveGuidanceDeferred(ctx, model, hg); return err }},
+		{"ablation", ablation, 6, func() error { _, err := f.RunAblation(ctx); return err }},
 	}
 	for _, p := range paths {
-		got = nil
-		if err := p.run(); err != nil {
-			t.Fatalf("%s: %v", p.name, err)
+		calls := recordRelaxations(t, p.name, p.run)
+		if len(calls) != p.n {
+			t.Errorf("%s: %d relaxations, want %d", p.name, len(calls), p.n)
 		}
-		want := relax.Config{Restarts: 3, NDerive: 2, Seed: 1, MaxIter: 25, DeferScoring: p.deferred}
-		if len(got) != 1 || got[0] != want {
-			t.Errorf("%s: relaxed with %+v, want one relaxation with %+v", p.name, got, want)
+		for i, c := range calls {
+			got := c.cfg
+			got.NoPool, got.UseGD = false, false // the ablation's own knobs
+			if got != p.want {
+				t.Errorf("%s: relaxation %d used %+v, want %+v", p.name, i, c.cfg, p.want)
+			}
+		}
+	}
+}
+
+// TestOneModelAcrossPaths pins that every path which trains a 3DGNN trains
+// the same one: the checkpoint `analogfold train` writes and the daemon
+// serves, the cold flow behind Table 2, the figure guidance and the
+// ablation's full variant all relax bit-identical weights.
+func TestOneModelAcrossPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains several models in -short mode")
+	}
+	ctx := context.Background()
+	f, err := NewFlow(netlist.OTA1(), place.ProfileA, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, _, err := f.LoadOrTrainModel(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/model.json"
+	if err := trained.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := gnn3d.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []struct {
+		name string
+		run  func() error
+	}{
+		{"checkpoint", func() error { _, err := f.DeriveGuidanceWarm(ctx, ckpt, nil); return err }},
+		{"cold flow", func() error { _, err := f.RunAnalogFold(ctx); return err }},
+		{"figure guidance", func() error { _, err := f.DeriveGuidance(ctx); return err }},
+		{"ablation full", func() error { _, err := f.RunAblation(ctx); return err }},
+	}
+	var want uint64
+	for i, p := range paths {
+		calls := recordRelaxations(t, p.name, p.run)
+		if len(calls) == 0 {
+			t.Fatalf("%s: no relaxation", p.name)
+		}
+		// The ablation's first relaxation is its full variant.
+		got := calls[0].weights
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("%s relaxed weights %016x, checkpoint %016x", p.name, got, want)
 		}
 	}
 }

@@ -4,45 +4,26 @@ import (
 	"context"
 	"fmt"
 
-	"analogfold/internal/dataset"
-	"analogfold/internal/gnn3d"
 	"analogfold/internal/guidance"
-	"analogfold/internal/hetgraph"
 	"analogfold/internal/route"
 )
 
-// DeriveGuidance runs the AnalogFold learning stack (database → 3DGNN →
-// potential relaxation) and returns the single best guidance set. Used by
-// the visualization commands (Figure 1) that want the guidance itself rather
-// than a full evaluation.
+// DeriveGuidance returns the single best guidance set of the AnalogFold
+// learning stack (database → 3DGNN → potential relaxation). The model is the
+// flow's one model (LoadOrTrainModel without a cache), and the relaxation is
+// the warm path's, so the visualization commands (Figures 1 and 6) render
+// the guidance Table 2 routes with.
 func (f *Flow) DeriveGuidance(ctx context.Context) (guidance.Set, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := f.Opts
-	ds, err := dataset.Generate(ctx, f.Grid, dataset.Config{
-		Samples: o.Samples, Workers: o.Workers, Seed: o.Seed,
-		RouteCfg: o.RouteCfg, IncludeUniform: true,
-	})
+	model, hg, err := f.LoadOrTrainModel(ctx, "")
 	if err != nil {
 		return guidance.Set{}, fmt.Errorf("core: derive: %w", err)
 	}
-	hg, err := hetgraph.Build(f.Grid, hetgraph.Config{})
+	rres, err := f.deriveGuidance(ctx, model, hg, false)
 	if err != nil {
-		return guidance.Set{}, fmt.Errorf("core: derive: %w", err)
-	}
-	gcfg := o.GNN
-	gcfg.Seed = o.Seed
-	model := gnn3d.New(gcfg)
-	if _, err := model.Fit(ctx, hg, ds.Samples(), gnn3d.TrainConfig{
-		Epochs: o.TrainEpochs, Seed: o.Seed,
-		BatchSize: o.TrainBatch, Workers: o.Workers,
-	}); err != nil {
-		return guidance.Set{}, fmt.Errorf("core: derive: %w", err)
-	}
-	rres, err := relaxOptimize(ctx, model, hg, o.relaxConfig())
-	if err != nil {
-		return guidance.Set{}, fmt.Errorf("core: derive: %w", err)
+		return guidance.Set{}, err
 	}
 	return rres.Guides[0], nil
 }
@@ -64,7 +45,10 @@ func (f *Flow) RunAnalogFoldRouted(ctx context.Context) (*route.Result, error) {
 // RunGeniusRouted runs the GeniusRoute baseline and returns the routed
 // solution, for rendering (Figure 6).
 func (f *Flow) RunGeniusRouted(ctx context.Context) (*route.Result, error) {
-	gd, err := f.geniusGuidance(ctx)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	gd, _, err := f.geniusGuidanceTimed(ctx)
 	if err != nil {
 		return nil, err
 	}

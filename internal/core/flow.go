@@ -56,10 +56,7 @@ type Options struct {
 	// minibatch gradients, relaxation restarts, candidate routing and the
 	// per-method benchmark evaluation (0 → GOMAXPROCS). All paths are
 	// deterministic in the worker count.
-	Workers int
-	// TrainBatch is the 3DGNN minibatch size; per-sample gradients within a
-	// batch are computed in parallel (default 4).
-	TrainBatch int
+	Workers    int
 	Seed       int64
 	PlaceIters int
 	GNN        gnn3d.Config
@@ -76,14 +73,55 @@ type Options struct {
 	TotalTimeout time.Duration
 }
 
+// trainBatch is the 3DGNN minibatch size; the per-sample gradients of a
+// batch are computed in parallel on Options.Workers goroutines.
+const trainBatch = 4
+
+// datasetConfig returns the corpus settings of the learning stack: the cold
+// flow, the cached and distributed corpus (LoadOrGenerateDatasetExec) and the
+// ablation all label the same samples.
+func (o Options) datasetConfig() dataset.Config {
+	return dataset.Config{
+		Samples: o.Samples, Workers: o.Workers, Seed: o.Seed,
+		RouteCfg: o.RouteCfg, IncludeUniform: true,
+	}
+}
+
+// gnnConfig returns the 3DGNN architecture every path trains, seeded with
+// the flow's seed; a checkpoint's provenance stamp is checked against it.
+func (o Options) gnnConfig() gnn3d.Config {
+	c := o.GNN
+	c.Seed = o.Seed
+	return c
+}
+
 // relaxConfig returns the potential-relaxation settings every AnalogFold
 // path derives guidance with: the cold and warm flows, the daemon's
-// /v1/guidance and the rendered figures. One constructor keeps them equal.
+// /v1/guidance, the rendered figures and the ablation (with N_derive 1).
+// One constructor keeps them equal.
 func (o Options) relaxConfig() relax.Config {
 	return relax.Config{
 		Restarts: o.RelaxRestarts, NDerive: o.NDerive, Seed: o.Seed,
 		MaxIter: 25, Workers: o.Workers,
 	}
+}
+
+// fitModel trains a fresh 3DGNN of architecture gcfg, stamped with the
+// flow's circuit, on samples with the flow's one training schedule. Every
+// path that trains calls it, so for the same options the cold flow, the
+// checkpoint, the figures and the ablation's full variant hold the same
+// weights bit for bit.
+func (f *Flow) fitModel(ctx context.Context, hg *hetgraph.Graph, samples []gnn3d.Sample, gcfg gnn3d.Config) (*gnn3d.Model, *gnn3d.TrainReport, error) {
+	m := gnn3d.New(gcfg)
+	m.Circuit = f.Circuit.Name
+	rep, err := m.Fit(ctx, hg, samples, gnn3d.TrainConfig{
+		Epochs: f.Opts.TrainEpochs, Seed: f.Opts.Seed,
+		BatchSize: trainBatch, Workers: f.Opts.Workers,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, rep, nil
 }
 
 // relaxOptimize is relax.Optimize behind a variable, so tests can observe
@@ -111,9 +149,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.VAEEpochs == 0 {
 		o.VAEEpochs = 40
-	}
-	if o.TrainBatch == 0 {
-		o.TrainBatch = 4
 	}
 	return o
 }
@@ -356,15 +391,6 @@ func (f *Flow) geniusGuidanceTimed(ctx context.Context) (guidance.Set, geniusTim
 	return gd, tm, nil
 }
 
-// geniusGuidance is the timing-free convenience used by visualization.
-func (f *Flow) geniusGuidance(ctx context.Context) (guidance.Set, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	gd, _, err := f.geniusGuidanceTimed(ctx)
-	return gd, err
-}
-
 // RunGenius runs the GeniusRoute baseline end to end.
 func (f *Flow) RunGenius(ctx context.Context) (*Outcome, error) {
 	if ctx == nil {
@@ -430,10 +456,7 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 		sctx, cancel := f.stageCtx(ctx)
 		defer cancel()
 		withPhase(sctx, "construct-database", func(pctx context.Context) {
-			ds, err = dataset.Generate(pctx, f.Grid, dataset.Config{
-				Samples: o.Samples, Workers: o.Workers, Seed: o.Seed,
-				RouteCfg: o.RouteCfg, IncludeUniform: true,
-			})
+			ds, err = dataset.Generate(pctx, f.Grid, o.datasetConfig())
 		})
 	}()
 	if err != nil {
@@ -455,17 +478,11 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 		if err != nil {
 			report.record(fault.StageTraining, err, "heterogeneous graph construction failed")
 		} else {
-			gcfg := o.GNN
-			gcfg.Seed = o.Seed
-			model = gnn3d.New(gcfg)
 			func() {
 				sctx, cancel := f.stageCtx(ctx)
 				defer cancel()
 				withPhase(sctx, "train-3dgnn", func(pctx context.Context) {
-					_, err = model.Fit(pctx, hg, ds.Samples(), gnn3d.TrainConfig{
-						Epochs: o.TrainEpochs, Seed: o.Seed,
-						BatchSize: o.TrainBatch, Workers: o.Workers,
-					})
+					model, _, err = f.fitModel(pctx, hg, ds.Samples(), o.gnnConfig())
 				})
 			}()
 			if err != nil {
@@ -473,7 +490,6 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 					return nil, fmt.Errorf("core: analogfold: %w", err)
 				}
 				report.record(fault.StageTraining, err, "3DGNN training failed; dropping model")
-				model = nil
 			}
 		}
 	}

@@ -217,11 +217,12 @@ func modelGoldenEntryFor(t testing.TB, name string, c *netlist.Circuit, seed int
 }
 
 // TestModelGoldenTapeAndWorkers asserts the relaxation outcome is invariant —
-// bit for bit — across every execution strategy this stack offers: tape-backed
-// sessions versus the clone-per-worker reference path (Config.NoTape), 1
-// versus 8 workers, and batched versus sequential candidate scoring. Combined
-// with TestModelGoldenEquivalence (which pins the default strategy against the
-// recorded golden), this proves no strategy changes the numbers.
+// bit for bit — in the worker count (1 versus 8 versus the default), and that
+// the batched candidate scores equal sequential Predicts. Combined with
+// TestModelGoldenEquivalence (which pins the default against the recorded
+// golden), this proves the worker count never changes the numbers. The
+// tape-backed evaluator itself is pinned to the transient-path Potential by
+// relax's TestEvaluatorMatchesPotential.
 func TestModelGoldenTapeAndWorkers(t *testing.T) {
 	hg, _ := goldenGraph(t, netlist.OTA1(), 11)
 	m := goldenModel(t, hg, 11)
@@ -252,18 +253,15 @@ func TestModelGoldenTapeAndWorkers(t *testing.T) {
 		name string
 		mut  func(*relax.Config)
 	}{
-		{"NoTape", func(c *relax.Config) { c.NoTape = true }},
 		{"Workers=1", func(c *relax.Config) { c.Workers = 1 }},
 		{"Workers=8", func(c *relax.Config) { c.Workers = 8 }},
-		{"SequentialCandidates", func(c *relax.Config) { c.SequentialCandidates = true }},
-		{"NoTape+Workers=8", func(c *relax.Config) { c.NoTape = true; c.Workers = 8 }},
 	} {
 		got := run(v.mut)
 		if d, rd := digest(got), digest(ref); d != rd {
-			t.Errorf("%s: outcome digest %s != default strategy %s", v.name, d, rd)
+			t.Errorf("%s: outcome digest %s != default workers %s", v.name, d, rd)
 		}
 		if got.Evals != ref.Evals {
-			t.Errorf("%s: %d evals, default strategy %d", v.name, got.Evals, ref.Evals)
+			t.Errorf("%s: %d evals, default workers %d", v.name, got.Evals, ref.Evals)
 		}
 	}
 

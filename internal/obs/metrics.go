@@ -114,6 +114,35 @@ func (h *Histogram) ObserveExemplar(d time.Duration, id string) {
 	h.exMu.Unlock()
 }
 
+// Count returns the number of observations recorded.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
+// Quantile returns the upper edge of the bucket holding the p-quantile
+// observation (p clamped to [0, 1]; 0 when empty). It rounds up, which is
+// the right bias for a budget such as a hedge trigger: act a touch late
+// rather than early. The overflow bucket reports 2^(HistBuckets-1) ms.
+func (h *Histogram) Quantile(p float64) time.Duration {
+	total := h.Count()
+	if total == 0 {
+		return 0
+	}
+	p = min(max(p, 0), 1)
+	target := max(int64(p*float64(total)), 1)
+	var cum int64
+	k := 0
+	for ; k < HistBuckets-1; k++ {
+		if cum += h.buckets[k].Load(); cum >= target {
+			break
+		}
+	}
+	return time.Duration(int64(1)<<k) * time.Millisecond
+}
+
 // HistView is the JSON rendering of one histogram — the /metrics wire shape
 // dashboards key on ("le_<2^k>ms" → count, "inf" for the overflow bucket).
 // SlowestID/SlowestMS carry the slowest exemplar when one was captured.

@@ -33,6 +33,50 @@ func TestHistogramView(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantile(t *testing.T) {
+	var h Histogram
+	for _, o := range []struct {
+		d time.Duration
+		n int
+	}{
+		{500 * time.Microsecond, 10}, // bucket le_1ms
+		{3 * time.Millisecond, 5},    // le_4ms
+		{100 * time.Millisecond, 4},  // le_128ms
+		{48 * time.Hour, 1},          // overflow
+	} {
+		for i := 0; i < o.n; i++ {
+			h.Observe(o.d)
+		}
+	}
+	if h.Count() != 20 {
+		t.Fatalf("count %d, want 20", h.Count())
+	}
+	overflow := time.Duration(1<<(HistBuckets-1)) * time.Millisecond
+	for _, c := range []struct {
+		p    float64
+		want time.Duration
+	}{
+		{-1, time.Millisecond}, // clamped to 0: the first observation
+		{0, time.Millisecond},
+		{0.5, time.Millisecond}, // 10th of 20 observations
+		{0.55, 4 * time.Millisecond},
+		{0.75, 4 * time.Millisecond},
+		{0.8, 128 * time.Millisecond},
+		{0.95, 128 * time.Millisecond},
+		{1, overflow},
+		{2, overflow}, // clamped to 1
+	} {
+		if got := h.Quantile(c.p); got != c.want {
+			t.Errorf("Quantile(%g) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	var empty Histogram
+	var nilHist *Histogram
+	if empty.Quantile(0.5) != 0 || nilHist.Quantile(0.5) != 0 || nilHist.Count() != 0 {
+		t.Errorf("empty and nil histograms must report 0")
+	}
+}
+
 func TestRegistryHandlesStable(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("route_ripups_total")

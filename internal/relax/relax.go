@@ -50,9 +50,9 @@ type Config struct {
 
 	// Workers bounds the goroutines evaluating one round's restarts
 	// (0 → GOMAXPROCS). Results are bit-identical for any worker count:
-	// every restart owns a private RNG seeded Seed+restartIndex and a private
-	// model clone, and the elite pool is only merged at round barriers, in
-	// restart-index order.
+	// every restart owns a private RNG seeded Seed+restartIndex and, for its
+	// duration, a private tape-backed evaluator, and the elite pool is only
+	// merged at round barriers, in restart-index order.
 	Workers int
 	// RoundSize is the number of restarts between pool-merge barriers
 	// (default 4). Restarts within a round see the pool as it stood at the
@@ -74,15 +74,6 @@ type Config struct {
 	// recovery preserves worker-count invariance.
 	MaxRetries int
 
-	// NoTape disables the tape-backed inference sessions and evaluates every
-	// objective on a per-worker model clone through Potential — the original
-	// evaluation path, kept as the bit-identity reference (the golden tests
-	// compare the two) and as an escape hatch.
-	NoTape bool
-	// SequentialCandidates scores the derived guidance sets one Predict at a
-	// time instead of a single stacked ForwardBatch — the ablation arm of the
-	// batched-candidate benchmark.
-	SequentialCandidates bool
 	// DeferScoring skips the final candidate-scoring pass entirely:
 	// Result.Predictions is left nil for the caller to fill later via
 	// ScoreResults. The serving daemon uses it to stack the candidates of
@@ -171,7 +162,9 @@ type RestartFailure struct {
 	Err      error
 }
 
-// Potential evaluates V(C) and ∂V/∂C for a guidance tensor.
+// Potential evaluates V(C) and ∂V/∂C for a guidance tensor on the model's
+// transient autodiff path: the reference Optimize's tape-backed evaluator
+// is pinned to, bit for bit.
 func Potential(m *gnn3d.Model, g *hetgraph.Graph, cT *tensor.Tensor, cfg Config) (float64, *tensor.Tensor, error) {
 	cfg = cfg.withDefaults()
 	cv := ad.Leaf(cT, true)
@@ -206,7 +199,7 @@ func Potential(m *gnn3d.Model, g *hetgraph.Graph, cT *tensor.Tensor, cfg Config)
 // evaluation warms the tape, each V(C) + ∂V/∂C costs a graph replay instead
 // of a graph rebuild. It constructs exactly the expression Potential builds —
 // same ops in the same order — so every value and gradient is bit-identical
-// to the clone path (Config.NoTape), which the golden tests pin.
+// to Potential, which TestEvaluatorMatchesPotential pins.
 type evaluator struct {
 	sess    *gnn3d.InferSession
 	w, cmax *ad.Var
@@ -267,9 +260,8 @@ type restartOut struct {
 // Optimize runs the full pool-assisted relaxation. Rounds of RoundSize
 // restarts execute concurrently on Workers goroutines; each restart owns a
 // private RNG (Seed+restartIndex) and, for its duration, a tape-backed
-// evaluator drawn from a pool (a model clone under Config.NoTape), and the
-// elite pool is merged at a barrier between rounds so the result is
-// independent of the worker count.
+// evaluator drawn from a pool, and the elite pool is merged at a barrier
+// between rounds so the result is independent of the worker count.
 //
 // Failure model: a restart whose optimization diverges (NaN/Inf potential or
 // iterate), stalls without ever reaching a finite point, or hits a model
@@ -296,14 +288,7 @@ func Optimize(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, cfg Config
 	// frozen weight view shares the caller's trained tensors read-only (the
 	// backward pass never touches non-differentiable weights), so workers need
 	// no model clones and steady-state evaluations replay a recorded graph.
-	// NoTape restores the original clone-per-worker path, where each restart
-	// differentiates through a private deep copy of the model.
-	var clones, sessions *sync.Pool
-	if cfg.NoTape {
-		clones = &sync.Pool{New: func() any { return m.Clone() }}
-	} else {
-		sessions = &sync.Pool{New: func() any { return newEvaluator(m, g, cfg) }}
-	}
+	sessions := &sync.Pool{New: func() any { return newEvaluator(m, g, cfg) }}
 
 	res := &Result{}
 	var pool []poolEntry
@@ -342,15 +327,8 @@ func Optimize(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, cfg Config
 			x0 = gd.Flat()
 		}
 
-		var mdl *gnn3d.Model
-		var ev *evaluator
-		if cfg.NoTape {
-			mdl = clones.Get().(*gnn3d.Model)
-			defer clones.Put(mdl)
-		} else {
-			ev = sessions.Get().(*evaluator)
-			defer sessions.Put(ev)
-		}
+		ev := sessions.Get().(*evaluator)
+		defer sessions.Put(ev)
 		evals := 0
 		var evalErr error // first model/divergence fault inside the line search
 		obj := func(x []float64) (float64, []float64) {
@@ -368,15 +346,7 @@ func Optimize(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, cfg Config
 					return math.Inf(1), make([]float64, dim)
 				}
 			}
-			var f float64
-			var grad *tensor.Tensor
-			var err error
-			if ev != nil {
-				f, grad, err = ev.potential(x, cfg)
-			} else {
-				cT := tensor.FromSlice(append([]float64(nil), x...), numNets, 3)
-				f, grad, err = Potential(mdl, g, cT, cfg)
-			}
+			f, grad, err := ev.potential(x, cfg)
 			if err != nil {
 				// Propagate a typed model fault into the retry path instead
 				// of masking it as +Inf with a fake zero gradient.
@@ -520,41 +490,14 @@ func Optimize(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, cfg Config
 		res.Potentials = append(res.Potentials, pool[i].pot)
 	}
 
-	// Score the derived (clamped) guidance sets with the model: by default
-	// all N_derive candidates ride one stacked ForwardBatch; the ablation
-	// scores them with sequential Predicts. Span and counters record which
-	// path ran and how many candidates it carried — instrumentation sits
-	// outside the restart loop, so the hot path stays untouched and nothing
-	// allocates when telemetry is disabled.
+	// Score the derived (clamped) guidance sets with the model: all N_derive
+	// candidates ride one stacked PredictBatch.
 	if cfg.DeferScoring {
 		return res, nil
 	}
-	_, span := obs.StartSpan(ctx, "relax.candidates")
-	scoreStart := time.Now()
-	if cfg.SequentialCandidates {
-		for _, gd := range res.Guides {
-			y, err := m.Predict(g, tensor.FromSlice(gd.Flat(), numNets, 3))
-			if err != nil {
-				return nil, fault.Wrap(fault.StageRelaxation, fault.ErrModelEval, err, "candidate scoring")
-			}
-			res.Predictions = append(res.Predictions, y)
-		}
-		reg.Counter("analogfold_relax_candidates_sequential_total").Add(int64(len(res.Guides)))
-	} else {
-		cs := make([]*tensor.Tensor, len(res.Guides))
-		for i, gd := range res.Guides {
-			cs[i] = tensor.FromSlice(gd.Flat(), numNets, 3)
-		}
-		preds, err := m.PredictBatch(g, cs)
-		if err != nil {
-			return nil, fault.Wrap(fault.StageRelaxation, fault.ErrModelEval, err, "candidate scoring")
-		}
-		res.Predictions = preds
-		reg.Counter("analogfold_relax_candidates_batched_total").Add(int64(len(res.Guides)))
+	if _, err := score(ctx, m, g, []*Result{res}); err != nil {
+		return nil, err
 	}
-	span.Arg("candidates", len(res.Guides)).Arg("batched", !cfg.SequentialCandidates)
-	span.End()
-	obs.StagesFrom(ctx).Add(obs.StageScore, time.Since(scoreStart))
 	return res, nil
 }
 
@@ -562,10 +505,26 @@ func Optimize(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, cfg Config
 // (Config.DeferScoring) by stacking every result's candidate guidance sets
 // into one PredictBatch call. Because ForwardBatch is row-independent, each
 // row is bit-identical to scoring that result alone — so wave composition
-// cannot change any individual response. Counters mirror Optimize's batched
-// branch, plus a per-call wave counter that serving tests pin against their
-// wave count ("one PredictBatch per wave").
+// cannot change any individual response. Beyond Optimize's scoring counters
+// it counts waves, which serving tests pin against their wave count ("one
+// PredictBatch per wave").
 func ScoreResults(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, rs []*Result) error {
+	n, err := score(ctx, m, g, rs)
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		obs.FromContext(ctx).Registry().Counter("analogfold_relax_score_waves_total").Inc()
+	}
+	return nil
+}
+
+// score is the one candidate scorer: a single PredictBatch over the guidance
+// sets of every result in rs, in order. It returns how many candidates it
+// scored. Span, counter and StageScore credit sit outside the restart loop,
+// so the hot path stays untouched and nothing allocates when telemetry is
+// disabled.
+func score(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, rs []*Result) (int, error) {
 	var cs []*tensor.Tensor
 	for _, r := range rs {
 		for _, gd := range r.Guides {
@@ -573,26 +532,24 @@ func ScoreResults(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, rs []*
 		}
 	}
 	if len(cs) == 0 {
-		return nil
+		return 0, nil
 	}
 	_, span := obs.StartSpan(ctx, "relax.candidates")
 	defer span.End()
 	scoreStart := time.Now()
 	defer func() { obs.StagesFrom(ctx).Add(obs.StageScore, time.Since(scoreStart)) }()
-	span.Arg("candidates", len(cs)).Arg("batched", true).Arg("results", len(rs))
+	span.Arg("candidates", len(cs)).Arg("results", len(rs))
 	preds, err := m.PredictBatch(g, cs)
 	if err != nil {
-		return fault.Wrap(fault.StageRelaxation, fault.ErrModelEval, err, "candidate scoring")
+		return 0, fault.Wrap(fault.StageRelaxation, fault.ErrModelEval, err, "candidate scoring")
 	}
 	k := 0
 	for _, r := range rs {
-		r.Predictions = append([][gnn3d.NumMetrics]float64(nil), preds[k:k+len(r.Guides)]...)
+		r.Predictions = preds[k : k+len(r.Guides) : k+len(r.Guides)]
 		k += len(r.Guides)
 	}
-	reg := obs.FromContext(ctx).Registry()
-	reg.Counter("analogfold_relax_candidates_batched_total").Add(int64(len(cs)))
-	reg.Counter("analogfold_relax_score_waves_total").Inc()
-	return nil
+	obs.FromContext(ctx).Registry().Counter("analogfold_relax_candidates_batched_total").Add(int64(len(cs)))
+	return len(cs), nil
 }
 
 // isFinite reports a usable optimization outcome (finite, non-NaN).

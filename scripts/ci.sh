@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI gate: build + vet + full test suite, then a short race-detector pass
 # over the packages that run work concurrently (worker pool, relaxation,
-# Monte Carlo, training, dataset generation).
+# Monte Carlo, training, dataset generation). Package and fuzz-target lists
+# live in the Makefile only; this script calls its targets.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,36 +17,14 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (parallel-touching packages) =="
-# ad and tensor are in the list because relax workers share a frozen model's
-# weight tensors across concurrent tape sessions — the race detector proves
-# the read-only sharing contract.
-go test -race -count=1 \
-    ./internal/obs/ \
-    ./internal/parallel/ \
-    ./internal/relax/ \
-    ./internal/circuit/ \
-    ./internal/gnn3d/ \
-    ./internal/ad/ \
-    ./internal/tensor/ \
-    ./internal/dataset/ \
-    ./internal/route/ \
-    ./internal/servecache/ \
-    ./internal/serve/ \
-    ./internal/cluster/
+make race
 
 echo "== chaos: go test -race -tags faultinject (fault-injection suite) =="
 # The faultinject build tag compiles the deterministic fault scheduler into
 # the injection points (NaN model output, router failures, stage latency);
 # the chaos tests assert every injected fault recovers or surfaces a typed
 # error — never a panic, never a hang past its deadline.
-go test -race -count=1 -tags faultinject \
-    ./internal/fault/... \
-    ./internal/parallel/ \
-    ./internal/relax/ \
-    ./internal/route/ \
-    ./internal/core/ \
-    ./internal/serve/ \
-    ./internal/dataset/
+make chaos
 
 echo "== trace-merge golden gate (cross-process span stitching) =="
 # The distributed-tracing invariant: span summaries imported from a replica
@@ -72,7 +51,7 @@ echo "== cluster chaos: replica-kill suite (coordinator fault tolerance) =="
 # coordinator drains. Also covers dataset shard leases: holders killed
 # mid-shard, heartbeat-expired leases, and digest-forged answers must all
 # re-dispatch with dispatched == completed + redispatched.
-go test -race -count=1 -tags faultinject ./internal/cluster/
+make cluster-chaos
 
 echo "== fuzz smoke (10s per target) =="
 # Short native-fuzz budgets: enough to catch a freshly introduced panic or
@@ -80,11 +59,7 @@ echo "== fuzz smoke (10s per target) =="
 # constructors), a matmul kernel whose bits drift from the naive reference
 # loops, or an A* open list whose pop order drifts from the swapping
 # reference heap, cheap enough to run every time.
-go test -run '^$' -fuzz FuzzNetlistBuild -fuzztime 10s ./internal/netlist/
-go test -run '^$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
-go test -run '^$' -fuzz FuzzMatMulKernels -fuzztime 10s ./internal/tensor/
-go test -run '^$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
-go test -run '^$' -fuzz FuzzPQHeapOrder -fuzztime 10s ./internal/route/
+make fuzz-smoke
 
 echo "== benchmark smoke (router and model hot paths compile and run) =="
 # One iteration of the routing benchmarks, uniform and guided, the matmul
@@ -100,7 +75,7 @@ echo "== layered benchmark module tests =="
 # bench/ is a Go module of its own (it replaces analogfold with ../), so the
 # root go test ./... never reaches it: its workload smoke runs, statistics and
 # the BENCHMARK.json <-> metric-table check (TestSpecMatchesTables) run here.
-(cd bench && go test ./...)
+make bench-test
 
 echo "== model inference perf gate (writes BENCH_model.json) =="
 # BenchmarkModelReport gates the tape arena internally: the steady-state
