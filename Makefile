@@ -65,6 +65,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatMulKernels -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
 	$(GO) test -run '^$$' -fuzz FuzzPQHeapOrder -fuzztime 10s ./internal/route/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzParseHealth -fuzztime 10s ./internal/serve/
 
 bench:
 	$(GO) test -bench=. -benchmem .

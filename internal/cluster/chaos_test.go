@@ -215,15 +215,15 @@ func TestChaosReplicaKillsUnderLoad(t *testing.T) {
 	}
 
 	// Accounting reconciles exactly at quiescence.
-	m := coord.MetricsSnapshot()
-	if m.Accepted != m.Answered+m.Shed {
-		t.Errorf("accepted=%d != answered=%d + shed=%d", m.Accepted, m.Answered, m.Shed)
+	m := &coord.met
+	if m.accepted.Load() != m.answered.Load()+m.shed.Load() {
+		t.Errorf("accepted=%d != answered=%d + shed=%d", m.accepted.Load(), m.answered.Load(), m.shed.Load())
 	}
-	if wantTotal := int64(clients*perClient + len(benches)); m.Accepted != wantTotal {
-		t.Errorf("accepted=%d, want %d", m.Accepted, wantTotal)
+	if wantTotal := int64(clients*perClient + len(benches)); m.accepted.Load() != wantTotal {
+		t.Errorf("accepted=%d, want %d", m.accepted.Load(), wantTotal)
 	}
-	if m.Shed != 0 {
-		t.Errorf("shed=%d with a healthy replica present throughout, want 0", m.Shed)
+	if m.shed.Load() != 0 {
+		t.Errorf("shed=%d with a healthy replica present throughout, want 0", m.shed.Load())
 	}
 
 	// Coordinator drain: Serve returns nil and the goroutine set (probers,
@@ -348,8 +348,8 @@ func TestChaosKillMidHedge(t *testing.T) {
 	if c.met.hedges.Load() != 1 {
 		t.Errorf("hedges = %d, want 1 (the race was exercised)", c.met.hedges.Load())
 	}
-	m := c.MetricsSnapshot()
-	if m.Accepted != 1 || m.Answered != 1 || m.Shed != 0 {
-		t.Errorf("accounting accepted=%d answered=%d shed=%d, want 1/1/0", m.Accepted, m.Answered, m.Shed)
+	m := &c.met
+	if m.accepted.Load() != 1 || m.answered.Load() != 1 || m.shed.Load() != 0 {
+		t.Errorf("accounting accepted=%d answered=%d shed=%d, want 1/1/0", m.accepted.Load(), m.answered.Load(), m.shed.Load())
 	}
 }

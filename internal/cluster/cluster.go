@@ -112,11 +112,9 @@ type Config struct {
 	Telemetry *obs.Telemetry
 	// SLOLatency and SLOAvailability configure the coordinator's burn-rate
 	// engine over the proxy path (served at /debug/slo). Zero for both leaves
-	// the engine off; see obs.SLOConfig for window defaults.
+	// the engine off.
 	SLOLatency      time.Duration
 	SLOAvailability float64
-	SLOFastWindow   time.Duration
-	SLOSlowWindow   time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -164,7 +162,7 @@ type Coordinator struct {
 	client   *http.Client
 	local    http.Handler
 	met      metrics
-	reg      *obs.Registry
+	ops      serve.Ops
 	lat      obs.Histogram // proxy latencies behind the adaptive hedge budget
 	slo      *obs.SLO
 	stages   *obs.StageMetrics
@@ -193,16 +191,14 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:     cfg,
 		client:  &http.Client{Transport: tr},
-		reg:     reg,
 		stopc:   make(chan struct{}),
 		drained: make(chan struct{}),
 		stages:  obs.NewStageMetrics(reg, "analogfold_cluster"),
 	}
-	c.slo = obs.NewSLO(obs.SLOConfig{
-		LatencyTarget: cfg.SLOLatency, Availability: cfg.SLOAvailability,
-		FastWindow: cfg.SLOFastWindow, SlowWindow: cfg.SLOSlowWindow,
-	})
+	c.slo = obs.NewSLO(obs.SLOConfig{LatencyTarget: cfg.SLOLatency, Availability: cfg.SLOAvailability})
 	c.slo.Register(reg, "analogfold_cluster")
+	c.ops = serve.Ops{Registry: reg, Telemetry: cfg.Telemetry, SLO: c.slo, SLOPrefix: "analogfold_cluster",
+		Drained: c.drained, Log: c.logw}
 	for _, u := range cfg.Replicas {
 		c.replicas = append(c.replicas, newReplica(u))
 	}
@@ -218,18 +214,14 @@ func New(cfg Config) *Coordinator {
 }
 
 // Handler returns the coordinator's routing table: the same service surface
-// a replica exposes, so clients and load balancers cannot tell the tiers
-// apart.
+// a replica exposes, with the same ops handlers, so clients and load
+// balancers cannot tell the tiers apart.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/guidance", c.handleWork)
 	mux.HandleFunc("/v1/route", c.handleWork)
 	mux.HandleFunc("/v1/dataset", c.handleDataset)
-	mux.HandleFunc("/healthz", c.handleHealthz)
-	mux.HandleFunc("/readyz", c.handleReadyz)
-	mux.HandleFunc("/metrics", c.handleMetrics)
-	mux.HandleFunc("/debug/flight", c.handleFlight)
-	mux.HandleFunc("/debug/slo", c.handleSLO)
+	c.ops.Mount(mux)
 	return mux
 }
 
@@ -521,7 +513,7 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 
 	if r.Method != http.MethodPost {
 		sw.Header().Set("Allow", http.MethodPost)
-		writeJSON(sw, http.StatusMethodNotAllowed, serve.ErrorBody{Error: serve.ErrorDetail{
+		serve.RespondJSON(sw, http.StatusMethodNotAllowed, serve.ErrorBody{Error: serve.ErrorDetail{
 			Kind: "method not allowed", Msg: "use POST"}})
 		return
 	}
@@ -533,7 +525,7 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &breq)
 	}
 	if err != nil {
-		writeFault(sw, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"))
+		serve.RespondError(sw, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"), 0)
 		return
 	}
 
@@ -632,7 +624,7 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 		sw.Header().Set(HeaderReplica, "local")
 		lr, lerr := http.NewRequestWithContext(ctx, http.MethodPost, r.URL.Path, bytes.NewReader(body))
 		if lerr != nil {
-			writeFault(sw, fault.Wrap(fault.StageServe, fault.ErrOverload, lerr, "local fallback"))
+			serve.RespondError(sw, fault.Wrap(fault.StageServe, fault.ErrOverload, lerr, "local fallback"), 0)
 			return
 		}
 		lr.Header.Set("Content-Type", "application/json")
@@ -648,116 +640,14 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 	if res != nil {
 		cause = res.err
 	}
-	writeFault(sw, fault.Wrap(fault.StageServe, fault.ErrOverload, cause,
-		"no replica available (%d attempts)", stats.failovers+1))
+	serve.RespondError(sw, fault.Wrap(fault.StageServe, fault.ErrOverload, cause,
+		"no replica available (%d attempts)", stats.failovers+1), 0)
 }
 
 func copyHeader(dst, src http.Header, key string) {
 	if v := src.Get(key); v != "" {
 		dst.Set(key, v)
 	}
-}
-
-// writeJSON mirrors the replica daemon's canonical response marshaling so a
-// coordinator-originated body is indistinguishable in shape.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := serve.MarshalBody(v)
-	if err != nil {
-		http.Error(w, `{"error":{"kind":"internal","msg":"marshal failure"}}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// writeFault renders a typed fault in the daemon's error shape.
-func writeFault(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, fault.ErrOverload):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, fault.ErrInvalidInput):
-		status = http.StatusBadRequest
-	case fault.IsTimeout(err):
-		status = http.StatusGatewayTimeout
-	}
-	d := serve.ErrorDetail{Msg: err.Error()}
-	if k := fault.KindOf(err); k != nil {
-		d.Kind = k.Error()
-	}
-	if st, ok := fault.StageOf(err); ok {
-		d.Stage = string(st)
-	}
-	if d.Kind == "" {
-		d.Kind = "internal"
-	}
-	writeJSON(w, status, serve.ErrorBody{Error: d})
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, "ok\n")
-}
-
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	select {
-	case <-c.drained:
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorBody{Error: serve.ErrorDetail{
-			Kind: "draining", Msg: "coordinator is shutting down"}})
-	default:
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ready\n")
-	}
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		if err := c.reg.WritePrometheus(w); err != nil {
-			c.logw(r.Context(), "metrics: prometheus write failed", "err", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, c.MetricsSnapshot())
-}
-
-// handleFlight serves the coordinator's flight recorder — which, because
-// every traced proxy and shard attempt imports its replica's span summaries,
-// renders as ONE merged Chrome trace spanning every process that touched a
-// request: coordinator spans on the local pid, each replica's imported spans
-// on a pid of their own, parent/child edges intact across the wire.
-func (c *Coordinator) handleFlight(w http.ResponseWriter, r *http.Request) {
-	rec := c.cfg.Telemetry.Recorder()
-	if r.URL.Query().Get("format") == "trace" {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		if err := c.cfg.Telemetry.WriteTrace(w); err != nil {
-			c.logw(r.Context(), "flight: trace write failed", "err", err)
-		}
-		return
-	}
-	snap := serve.FlightSnapshot{Total: rec.Total(), Dropped: rec.Dropped(), Events: rec.Snapshot()}
-	if snap.Events == nil {
-		snap.Events = []obs.FlightEvent{}
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// handleSLO serves the coordinator's burn-rate engine: SLOReport JSON by
-// default, Prometheus text with ?format=prom — the same contract the replica
-// daemon serves at its /debug/slo.
-func (c *Coordinator) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		if err := c.slo.WritePrometheus(w, "analogfold_cluster"); err != nil {
-			c.logw(r.Context(), "slo: prometheus write failed", "err", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, c.slo.Report())
 }
 
 // logw logs through the configured logger with the request ID attached.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"analogfold/internal/core"
+	"analogfold/internal/obs"
 	"analogfold/internal/serve"
 )
 
@@ -351,9 +352,9 @@ func TestShedPassthroughPreservesRetryAfter(t *testing.T) {
 	if string(body) != `{"error":{"kind":"overloaded","msg":"queue full"}}` {
 		t.Errorf("shed body rewritten: %s", body)
 	}
-	m := c.MetricsSnapshot()
-	if m.Accepted != 1 || m.Shed != 1 || m.Answered != 0 {
-		t.Errorf("accounting accepted=%d shed=%d answered=%d, want 1/1/0", m.Accepted, m.Shed, m.Answered)
+	m := &c.met
+	if m.accepted.Load() != 1 || m.shed.Load() != 1 || m.answered.Load() != 0 {
+		t.Errorf("accounting accepted=%d shed=%d answered=%d, want 1/1/0", m.accepted.Load(), m.shed.Load(), m.answered.Load())
 	}
 }
 
@@ -427,12 +428,12 @@ func TestLocalFallbackBitIdentical(t *testing.T) {
 	if string(got) != string(want) {
 		t.Errorf("local-fallback body differs from single-daemon reference:\n got: %s\nwant: %s", got, want)
 	}
-	m := c.MetricsSnapshot()
-	if m.LocalFallback != 1 {
-		t.Errorf("local_fallback = %d, want 1", m.LocalFallback)
+	m := &c.met
+	if m.localFallback.Load() != 1 {
+		t.Errorf("local_fallback = %d, want 1", m.localFallback.Load())
 	}
-	if m.Accepted != m.Answered+m.Shed {
-		t.Errorf("accounting broken: accepted=%d answered=%d shed=%d", m.Accepted, m.Answered, m.Shed)
+	if m.accepted.Load() != m.answered.Load()+m.shed.Load() {
+		t.Errorf("accounting broken: accepted=%d answered=%d shed=%d", m.accepted.Load(), m.answered.Load(), m.shed.Load())
 	}
 }
 
@@ -447,9 +448,9 @@ func TestNoReplicasNoLocalIsTypedOverload(t *testing.T) {
 	if !strings.Contains(string(body), `"overloaded"`) {
 		t.Errorf("body lacks the typed overload kind: %s", body)
 	}
-	m := c.MetricsSnapshot()
-	if m.Accepted != 1 || m.Shed != 1 {
-		t.Errorf("accepted=%d shed=%d, want 1/1", m.Accepted, m.Shed)
+	m := &c.met
+	if m.accepted.Load() != 1 || m.shed.Load() != 1 {
+		t.Errorf("accepted=%d shed=%d, want 1/1", m.accepted.Load(), m.shed.Load())
 	}
 }
 
@@ -518,5 +519,70 @@ func TestAdaptiveHedgeBudget(t *testing.T) {
 	c.cfg.HedgePercentile = -1
 	if got := c.hedgeDelay(); got != 250*time.Millisecond {
 		t.Errorf("disabled adaptation budget = %v, want static 250ms", got)
+	}
+}
+
+// TestProbeGradesReplicaHealth pins the prober's grading against a replica
+// whose /metrics is rendered from a registry as the daemon's is: up while
+// the breaker is closed or half-open and the queue is short, degraded on an
+// open breaker or a queue at BusyQueueDepth, down when /readyz refuses — and
+// a failed /metrics scrape alone does not demote a ready replica.
+func TestProbeGradesReplicaHealth(t *testing.T) {
+	var ready, metricsOK atomic.Bool
+	var queue, breaker atomic.Int64
+	ready.Store(true)
+	metricsOK.Store(true)
+	reg := obs.NewRegistry()
+	reg.RegisterGaugeFunc(serve.MetricQueueDepth, func() float64 { return float64(queue.Load()) })
+	reg.RegisterGaugeFunc(serve.MetricBreakerState, func() float64 { return float64(breaker.Load()) })
+	reg.Counter("analogfold_serve_accepted_total").Add(3)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		if !ready.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		if !metricsOK.Load() {
+			w.Write([]byte(`{"analogfold_serve_queue_depth":`))
+			return
+		}
+		serve.RespondJSON(w, http.StatusOK, reg.Snapshot())
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	// No configured replicas, so no prober loop races the explicit probes.
+	c := newTestCoordinator(t, Config{BusyQueueDepth: 4})
+	r := newReplica(ts.URL)
+	for i, tc := range []struct {
+		ready, metricsOK bool
+		queue, breaker   int64
+		want             replicaState
+	}{
+		{true, true, 0, 0, stateUp},
+		{true, true, 3, 1, stateUp}, // half-open is still serving the model
+		{true, true, 0, 2, stateDegraded},
+		{true, true, 4, 0, stateDegraded},
+		{true, true, 9, 2, stateDegraded},
+		{true, false, 9, 2, stateUp}, // unreadable scrape: readiness decides
+		{false, true, 0, 0, stateDown},
+		{true, true, 0, 0, stateUp},
+	} {
+		ready.Store(tc.ready)
+		metricsOK.Store(tc.metricsOK)
+		queue.Store(tc.queue)
+		breaker.Store(tc.breaker)
+		c.probe(r)
+		if got := r.getState(); got != tc.want {
+			t.Errorf("case %d %+v: graded %s, want %s", i, tc, got, tc.want)
+		}
+		if tc.ready && tc.metricsOK && (r.lastQueue.Load() != tc.queue || int64(r.breaker.Load()) != tc.breaker) {
+			t.Errorf("case %d: recorded queue=%d breaker=%d, want %d/%d",
+				i, r.lastQueue.Load(), r.breaker.Load(), tc.queue, tc.breaker)
+		}
+		if got := r.probes.Load(); got != int64(i+1) {
+			t.Errorf("case %d: probes = %d, want %d", i, got, i+1)
+		}
 	}
 }

@@ -376,7 +376,7 @@ const HeaderResumed = "X-Analogfold-Shards-Resumed"
 func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorBody{Error: serve.ErrorDetail{
+		serve.RespondJSON(w, http.StatusMethodNotAllowed, serve.ErrorBody{Error: serve.ErrorDetail{
 			Kind: "method not allowed", Msg: "use POST"}})
 		return
 	}
@@ -386,7 +386,7 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil {
-		writeFault(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"))
+		serve.RespondError(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"), 0)
 		return
 	}
 	reqID := r.Header.Get(serve.HeaderRequestID)
@@ -404,12 +404,12 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 
 	ds, rep, err := c.GenerateDataset(ctx, req)
 	if err != nil {
-		writeFault(w, err)
+		serve.RespondError(w, err, 0)
 		return
 	}
 	out, err := ds.Marshal()
 	if err != nil {
-		writeFault(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "marshal dataset"))
+		serve.RespondError(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "marshal dataset"), 0)
 		return
 	}
 	span.Arg("shards", rep.Shards).Arg("resumed", rep.Resumed)

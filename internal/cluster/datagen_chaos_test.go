@@ -59,10 +59,10 @@ func newShardStub(t *testing.T, fn http.HandlerFunc) *shardStub {
 // every shard launch is either the one that completed or a redispatch.
 func reconcile(t *testing.T, c *Coordinator) {
 	t.Helper()
-	m := c.MetricsSnapshot()
-	if m.Dataset.Dispatched != m.Dataset.Completed+m.Dataset.Redispatched {
+	m := &c.met
+	if m.dsDispatched.Load() != m.dsCompleted.Load()+m.dsRedispatched.Load() {
 		t.Errorf("reconciliation broken: dispatched=%d != completed=%d + redispatched=%d",
-			m.Dataset.Dispatched, m.Dataset.Completed, m.Dataset.Redispatched)
+			m.dsDispatched.Load(), m.dsCompleted.Load(), m.dsRedispatched.Load())
 	}
 }
 
@@ -91,14 +91,14 @@ func TestChaosDatasetLeaseExpiryFallsBackLocal(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatal("dataset assembled through expired leases not byte-identical")
 	}
-	m := c.MetricsSnapshot()
-	if m.Dataset.Expired != 2 || m.Dataset.Local != 2 {
+	m := &c.met
+	if m.dsExpired.Load() != 2 || m.dsLocal.Load() != 2 {
 		t.Errorf("expired=%d local=%d, want 2/2 (every lease timed out, every shard labeled locally)",
-			m.Dataset.Expired, m.Dataset.Local)
+			m.dsExpired.Load(), m.dsLocal.Load())
 	}
-	if m.Dataset.Dispatched != 4 || m.Dataset.Completed != 2 || m.Dataset.Redispatched != 2 {
+	if m.dsDispatched.Load() != 4 || m.dsCompleted.Load() != 2 || m.dsRedispatched.Load() != 2 {
 		t.Errorf("dispatched/completed/redispatched = %d/%d/%d, want 4/2/2",
-			m.Dataset.Dispatched, m.Dataset.Completed, m.Dataset.Redispatched)
+			m.dsDispatched.Load(), m.dsCompleted.Load(), m.dsRedispatched.Load())
 	}
 	reconcile(t, c)
 	ts.Close()
@@ -146,10 +146,10 @@ func TestChaosDatasetKillMidShardRedispatches(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatal("redispatched dataset not byte-identical to the oracle")
 	}
-	m := c.MetricsSnapshot()
-	if m.Dataset.Dispatched != 2 || m.Dataset.Completed != 1 || m.Dataset.Redispatched != 1 {
+	m := &c.met
+	if m.dsDispatched.Load() != 2 || m.dsCompleted.Load() != 1 || m.dsRedispatched.Load() != 1 {
 		t.Errorf("dispatched/completed/redispatched = %d/%d/%d, want 2/1/1",
-			m.Dataset.Dispatched, m.Dataset.Completed, m.Dataset.Redispatched)
+			m.dsDispatched.Load(), m.dsCompleted.Load(), m.dsRedispatched.Load())
 	}
 	reconcile(t, c)
 	if st := c.replicas[0].getState(); st != stateDown {
@@ -201,12 +201,12 @@ func TestChaosDatasetHeartbeatExpiresStalledLease(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatal("dataset after heartbeat expiry not byte-identical to the oracle")
 	}
-	m := c.MetricsSnapshot()
-	if m.Dataset.Expired < 1 {
-		t.Errorf("expired = %d, want >= 1 (the heartbeat forfeited the lease)", m.Dataset.Expired)
+	m := &c.met
+	if m.dsExpired.Load() < 1 {
+		t.Errorf("expired = %d, want >= 1 (the heartbeat forfeited the lease)", m.dsExpired.Load())
 	}
-	if m.Dataset.Redispatched < 1 {
-		t.Errorf("redispatched = %d, want >= 1", m.Dataset.Redispatched)
+	if m.dsRedispatched.Load() < 1 {
+		t.Errorf("redispatched = %d, want >= 1", m.dsRedispatched.Load())
 	}
 	reconcile(t, c)
 }
@@ -246,13 +246,13 @@ func TestChaosDatasetCorruptAnswerRedispatches(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatal("dataset after corrupt answer not byte-identical to the oracle")
 	}
-	m := c.MetricsSnapshot()
-	if m.Dataset.Corrupt != 1 {
-		t.Errorf("corrupt = %d, want 1", m.Dataset.Corrupt)
+	m := &c.met
+	if m.dsCorrupt.Load() != 1 {
+		t.Errorf("corrupt = %d, want 1", m.dsCorrupt.Load())
 	}
-	if m.Dataset.Dispatched != 2 || m.Dataset.Completed != 1 || m.Dataset.Redispatched != 1 {
+	if m.dsDispatched.Load() != 2 || m.dsCompleted.Load() != 1 || m.dsRedispatched.Load() != 1 {
 		t.Errorf("dispatched/completed/redispatched = %d/%d/%d, want 2/1/1",
-			m.Dataset.Dispatched, m.Dataset.Completed, m.Dataset.Redispatched)
+			m.dsDispatched.Load(), m.dsCompleted.Load(), m.dsRedispatched.Load())
 	}
 	reconcile(t, c)
 	// An application-level corrupt answer is not unreachability: the forger

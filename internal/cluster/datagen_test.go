@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -92,13 +94,14 @@ func TestDatasetJobBitIdenticalToSingleProcess(t *testing.T) {
 	if hits := w1.shardHits.Load() + w2.shardHits.Load(); hits != 3 {
 		t.Errorf("replicas saw %d shard requests, want 3 (one per shard)", hits)
 	}
-	m := c.MetricsSnapshot()
-	if m.Dataset.Jobs != 1 || m.Dataset.Completed != 3 || m.Dataset.Dispatched != 3 || m.Dataset.Redispatched != 0 {
-		t.Errorf("dataset metrics = %+v, want 1 job, 3/3/0 completed/dispatched/redispatched", m.Dataset)
+	m := &c.met
+	if m.dsJobs.Load() != 1 || m.dsCompleted.Load() != 3 || m.dsDispatched.Load() != 3 || m.dsRedispatched.Load() != 0 {
+		t.Errorf("dataset metrics = %d jobs, %d/%d/%d completed/dispatched/redispatched, want 1 job, 3/3/0",
+			m.dsJobs.Load(), m.dsCompleted.Load(), m.dsDispatched.Load(), m.dsRedispatched.Load())
 	}
-	if m.Dataset.Dispatched != m.Dataset.Completed+m.Dataset.Redispatched {
+	if m.dsDispatched.Load() != m.dsCompleted.Load()+m.dsRedispatched.Load() {
 		t.Errorf("reconciliation broken: dispatched=%d completed=%d redispatched=%d",
-			m.Dataset.Dispatched, m.Dataset.Completed, m.Dataset.Redispatched)
+			m.dsDispatched.Load(), m.dsCompleted.Load(), m.dsRedispatched.Load())
 	}
 }
 
@@ -138,8 +141,9 @@ func TestDatasetJobResumesAcrossCoordinatorRestart(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("resumed dataset not byte-identical to the first run")
 	}
-	if m := c2.MetricsSnapshot(); m.Dataset.Resumed != 2 || m.Dataset.Dispatched != 0 {
-		t.Errorf("resume metrics = %+v, want 2 resumed / 0 dispatched", m.Dataset)
+	if m := &c2.met; m.dsResumed.Load() != 2 || m.dsDispatched.Load() != 0 {
+		t.Errorf("resume metrics = %d resumed / %d dispatched, want 2 resumed / 0 dispatched",
+			m.dsResumed.Load(), m.dsDispatched.Load())
 	}
 }
 
@@ -186,8 +190,8 @@ func TestDatasetJobJournalSurvivesPartialFailure(t *testing.T) {
 	if resp.StatusCode == http.StatusOK {
 		t.Fatalf("job against the failing replica succeeded: %s", body)
 	}
-	if m := c1.MetricsSnapshot(); m.Dataset.Completed != 2 {
-		t.Fatalf("first run completed %d shards before dying, want 2", m.Dataset.Completed)
+	if m := &c1.met; m.dsCompleted.Load() != 2 {
+		t.Fatalf("first run completed %d shards before dying, want 2", m.dsCompleted.Load())
 	}
 
 	// The journal must hold exactly the two completed shards.
@@ -246,5 +250,25 @@ func TestDatasetJobValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/dataset = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestDatasetCanceledClientIs499 pins the coordinator's error mapping to the
+// daemon's: a /v1/dataset job whose client went away answers 499 with the
+// typed canceled body, not a gateway timeout.
+func TestDatasetCanceledClientIs499(t *testing.T) {
+	c := newTestCoordinator(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/dataset",
+		strings.NewReader(`{"bench":"OTA1-A","samples":4,"shard_size":2}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, req)
+	if rec.Code != 499 {
+		t.Fatalf("canceled dataset job status = %d, want 499\n%s", rec.Code, rec.Body)
+	}
+	var eb serve.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Kind == "" {
+		t.Errorf("canceled dataset job body is not the typed error shape: %s", rec.Body)
 	}
 }

@@ -93,78 +93,3 @@ func (c *Coordinator) registerReplicaMetrics(reg *obs.Registry) {
 		reg.RegisterGaugeFunc(base+"_breaker", func() float64 { return float64(r.breaker.Load()) })
 	}
 }
-
-// ReplicaSnapshot is one replica's row in the coordinator's /metrics JSON.
-type ReplicaSnapshot struct {
-	URL        string `json:"url"`
-	State      string `json:"state"`
-	Requests   int64  `json:"requests"`
-	Failures   int64  `json:"failures"`
-	Hedges     int64  `json:"hedges"`
-	Probes     int64  `json:"probes"`
-	QueueDepth int64  `json:"queue_depth"`
-	Breaker    int32  `json:"breaker"`
-}
-
-// MetricsSnapshot is the coordinator's /metrics JSON shape.
-type MetricsSnapshot struct {
-	Accepted      int64             `json:"accepted"`
-	Answered      int64             `json:"answered"`
-	Shed          int64             `json:"shed"`
-	Proxied       int64             `json:"proxied"`
-	LocalFallback int64             `json:"local_fallback"`
-	Failovers     int64             `json:"failovers"`
-	Hedges        int64             `json:"hedges"`
-	HedgeWins     int64             `json:"hedge_wins"`
-	HedgeBudgetMS int64             `json:"hedge_budget_ms"`
-	Replicas      []ReplicaSnapshot `json:"replicas"`
-
-	Dataset struct {
-		Jobs         int64 `json:"jobs"`
-		Completed    int64 `json:"completed"`
-		Dispatched   int64 `json:"dispatched"`
-		Redispatched int64 `json:"redispatched"`
-		Expired      int64 `json:"expired"`
-		Corrupt      int64 `json:"corrupt"`
-		Local        int64 `json:"local"`
-		Resumed      int64 `json:"resumed"`
-	} `json:"dataset"`
-}
-
-// MetricsSnapshot captures the coordinator's accounting and per-replica
-// health in one consistent-enough read (individual atomics; the invariant is
-// only exact when quiescent, which is when the chaos suite checks it).
-func (c *Coordinator) MetricsSnapshot() MetricsSnapshot {
-	m := MetricsSnapshot{
-		Accepted:      c.met.accepted.Load(),
-		Answered:      c.met.answered.Load(),
-		Shed:          c.met.shed.Load(),
-		Proxied:       c.met.proxied.Load(),
-		LocalFallback: c.met.localFallback.Load(),
-		Failovers:     c.met.failovers.Load(),
-		Hedges:        c.met.hedges.Load(),
-		HedgeWins:     c.met.hedgeWins.Load(),
-		HedgeBudgetMS: c.hedgeDelay().Milliseconds(),
-	}
-	m.Dataset.Jobs = c.met.dsJobs.Load()
-	m.Dataset.Completed = c.met.dsCompleted.Load()
-	m.Dataset.Dispatched = c.met.dsDispatched.Load()
-	m.Dataset.Redispatched = c.met.dsRedispatched.Load()
-	m.Dataset.Expired = c.met.dsExpired.Load()
-	m.Dataset.Corrupt = c.met.dsCorrupt.Load()
-	m.Dataset.Local = c.met.dsLocal.Load()
-	m.Dataset.Resumed = c.met.dsResumed.Load()
-	for _, r := range c.replicas {
-		m.Replicas = append(m.Replicas, ReplicaSnapshot{
-			URL:        r.url,
-			State:      r.getState().String(),
-			Requests:   r.requests.Load(),
-			Failures:   r.failures.Load(),
-			Hedges:     r.hedges.Load(),
-			Probes:     r.probes.Load(),
-			QueueDepth: r.lastQueue.Load(),
-			Breaker:    r.breaker.Load(),
-		})
-	}
-	return m
-}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -89,19 +88,6 @@ func (r *replica) markSuccess() {
 	}
 }
 
-// breakerGauge maps the scraped breaker state string onto the same 0/1/2
-// scale the replica itself exports.
-func breakerGauge(state string) int32 {
-	switch state {
-	case "open":
-		return 2
-	case "half-open":
-		return 1
-	default:
-		return 0
-	}
-}
-
 // probe refreshes one replica's health: /readyz decides up vs down, and for
 // live replicas a /metrics scrape grades load (admission queue depth) and
 // model health (breaker state) into the degraded tier.
@@ -115,10 +101,10 @@ func (c *Coordinator) probe(r *replica) {
 	}
 	r.consecFail.Store(0)
 	state := stateUp
-	if snap, ok := c.scrapeMetrics(ctx, r); ok {
-		r.lastQueue.Store(snap.QueueDepth)
-		r.breaker.Store(breakerGauge(snap.Breaker.State))
-		if snap.Breaker.State == "open" || snap.QueueDepth >= c.cfg.BusyQueueDepth {
+	if h, ok := c.scrapeHealth(ctx, r); ok {
+		r.lastQueue.Store(h.QueueDepth)
+		r.breaker.Store(h.Breaker)
+		if h.BreakerOpen() || h.QueueDepth >= c.cfg.BusyQueueDepth {
 			state = stateDegraded
 		}
 	}
@@ -140,27 +126,23 @@ func (c *Coordinator) getOK(ctx context.Context, r *replica, path string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// scrapeMetrics fetches the replica's /metrics JSON snapshot — the same wire
-// shape the daemon has always exported — for health grading.
-func (c *Coordinator) scrapeMetrics(ctx context.Context, r *replica) (serve.MetricsSnapshot, bool) {
-	var snap serve.MetricsSnapshot
+// scrapeHealth fetches the replica's /metrics JSON and reads its queue
+// depth and breaker state for health grading.
+func (c *Coordinator) scrapeHealth(ctx context.Context, r *replica) (serve.Health, bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/metrics", nil)
 	if err != nil {
-		return snap, false
+		return serve.Health{}, false
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return snap, false
+		return serve.Health{}, false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return snap, false
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return serve.Health{}, false
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&snap); err != nil {
-		return snap, false
-	}
-	return snap, true
+	return serve.ParseHealth(body)
 }
 
 // probeLoop drives one replica's health refresh until the coordinator drains.

@@ -209,10 +209,10 @@ func TestStageMetricsSlowestExemplar(t *testing.T) {
 	m.Record(&slow, "req-slow")
 	m.Record(nil, "ignored")
 
-	views := m.Views()
-	v, ok := views["relax"]
+	snap := reg.Snapshot()
+	v, ok := snap["test_stage_relax_seconds"].(HistView)
 	if !ok {
-		t.Fatalf("views %v missing relax", views)
+		t.Fatalf("registry snapshot %v missing the relax stage histogram", snap)
 	}
 	if v.Count != 2 || v.SlowestID != "req-slow" {
 		t.Errorf("relax view count=%d slowest=%q, want 2/req-slow", v.Count, v.SlowestID)
@@ -220,8 +220,8 @@ func TestStageMetricsSlowestExemplar(t *testing.T) {
 	if v.SlowestMS < 299 || v.SlowestMS > 301 {
 		t.Errorf("slowest_ms = %v, want ~300", v.SlowestMS)
 	}
-	if _, ok := views["queue"]; ok {
-		t.Error("untouched stage should not appear in views")
+	if q := snap["test_stage_queue_seconds"].(HistView); q.Count != 0 {
+		t.Errorf("untouched queue stage has %d observations, want 0", q.Count)
 	}
 }
 
@@ -231,8 +231,6 @@ func TestSLOBurnRates(t *testing.T) {
 	s := NewSLO(SLOConfig{
 		LatencyTarget: 100 * time.Millisecond,
 		Availability:  0.999,
-		FastWindow:    5 * time.Minute,
-		SlowWindow:    time.Hour,
 		Clock:         clock,
 	})
 	if s == nil {

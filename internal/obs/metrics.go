@@ -208,8 +208,8 @@ func Itoa(n int64) string {
 type GaugeFunc func() float64
 
 // Registry is the typed metrics registry: get-or-create named instruments,
-// rendered as JSON views by their owners and as Prometheus text exposition
-// by WritePrometheus. Instrument handles are stable — hot paths resolve them
+// rendered as JSON by Snapshot and as Prometheus text exposition by
+// WritePrometheus. Instrument handles are stable — hot paths resolve them
 // once and then touch only atomics.
 type Registry struct {
 	mu       sync.Mutex

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"math"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -230,5 +233,116 @@ func TestSanitizeMetricName(t *testing.T) {
 		if got := SanitizeMetricName(in); got != want {
 			t.Errorf("SanitizeMetricName(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestSnapshotAgreesWithPrometheus pins that the two renderings of one
+// registry carry the same numbers: every Prometheus family is a key of the
+// JSON object and every sample has its value there — counters and gauges
+// (stored and scrape-time) directly, info metrics as their label map, and
+// histograms through the HistView's count, mean and buckets.
+func TestSnapshotAgreesWithPrometheus(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total").Add(7)
+	r.RegisterCounterFunc("cf_total", func() float64 { return 9 })
+	r.Gauge("g").Set(-3)
+	r.RegisterGaugeFunc("gf", func() float64 { return 0.25 })
+	r.RegisterInfo("i_info", map[string]string{"path": "analogfold", "rev": `quote"back\slash`})
+	h := r.Histogram("h_seconds")
+	h.Observe(700 * time.Microsecond)
+	h.ObserveExemplar(3*time.Millisecond, "req-1")
+	h.Observe(999 * time.Hour)
+
+	raw, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &js); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+
+	families := map[string]bool{}
+	labelRe := regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="((?:\\.|[^"\\])*)"`)
+	for _, line := range strings.Split(strings.TrimRight(sb.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			families[strings.Fields(line)[2]] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labels := line[:strings.IndexAny(line, "{ ")], ""
+		if i := strings.IndexByte(line, '{'); i >= 0 {
+			labels = line[i+1 : strings.IndexByte(line, '}')]
+		}
+		val, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if families[name] {
+			if labels != "" {
+				// An info metric: its JSON value is the label map.
+				var got map[string]string
+				if err := json.Unmarshal(js[name], &got); err != nil {
+					t.Fatalf("%s: JSON %s is not a label map: %v", name, js[name], err)
+				}
+				want := map[string]string{}
+				for _, m := range labelRe.FindAllStringSubmatch(labels, -1) {
+					v, err := strconv.Unquote(`"` + m[2] + `"`)
+					if err != nil {
+						t.Fatalf("%q: label %s: %v", line, m[1], err)
+					}
+					want[m[1]] = v
+				}
+				if val != 1 || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: prom labels %v value %v, JSON %v", name, want, val, got)
+				}
+				continue
+			}
+			var got float64
+			if err := json.Unmarshal(js[name], &got); err != nil || got != val {
+				t.Errorf("%s: prom %v, JSON %s (%v)", name, val, js[name], err)
+			}
+			continue
+		}
+		// A histogram sample: <family>_bucket, _sum or _count.
+		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
+		var v HistView
+		if err := json.Unmarshal(js[base], &v); err != nil || !families[base] {
+			t.Fatalf("%q: no JSON histogram %s: %v", line, base, err)
+		}
+		var want float64
+		switch {
+		case strings.HasSuffix(name, "_count"):
+			want = float64(v.Count)
+		case strings.HasSuffix(name, "_sum"):
+			want = v.MeanMS * float64(v.Count) / 1e3
+		case labels == `le="+Inf"`:
+			want = float64(v.Count)
+		default:
+			le, err := strconv.ParseFloat(strings.Trim(strings.TrimPrefix(labels, "le="), `"`), 64)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			for ms := int64(1); float64(ms) <= le*1e3+0.5; ms <<= 1 {
+				want += float64(v.Buckets["le_"+Itoa(ms)+"ms"])
+			}
+		}
+		if math.Abs(want-val) > 1e-9*math.Max(1, math.Abs(val)) {
+			t.Errorf("%q: JSON view gives %v", line, want)
+		}
+	}
+	for name := range js {
+		if !families[name] {
+			t.Errorf("JSON key %s has no Prometheus family", name)
+		}
+	}
+	if len(families) != 6 || len(js) != 6 {
+		t.Errorf("%d families, %d JSON keys, want 6 each", len(families), len(js))
 	}
 }

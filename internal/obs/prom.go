@@ -64,6 +64,38 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
+// Snapshot renders the registry as the /metrics JSON body: one flat object
+// keyed by series name, built by walking the same maps as WritePrometheus.
+// Counters and gauges (and their scrape-time funcs) give numbers, histograms
+// their HistView, info metrics their label map.
+func (r *Registry) Snapshot() map[string]any {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]any)
+	for name, c := range r.counters {
+		out[name] = c.Value()
+	}
+	for name, fn := range r.cfuncs {
+		out[name] = fn()
+	}
+	for name, g := range r.gauges {
+		out[name] = g.Value()
+	}
+	for name, fn := range r.gfuncs {
+		out[name] = fn()
+	}
+	for name, labels := range r.infos {
+		out[name] = labels
+	}
+	for name, h := range r.hists {
+		out[name] = h.View()
+	}
+	return out
+}
+
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // formatLabels renders a label set as k="v" pairs in sorted key order with

@@ -17,6 +17,12 @@ import (
 // above the threshold so a brief blip (fast window only) and a long-ago
 // incident (slow window only) stay quiet (DESIGN.md §16).
 
+// SLOFastWindow and SLOSlowWindow are the burn-rate evaluation horizons.
+const (
+	SLOFastWindow = 5 * time.Minute
+	SLOSlowWindow = time.Hour
+)
+
 // DefaultPageBurnRate is the paging threshold: budget burning 14.4× too fast
 // consumes ~2% of a 30-day budget in an hour.
 const DefaultPageBurnRate = 14.4
@@ -31,9 +37,6 @@ type SLOConfig struct {
 	// ("99.9% of requests succeed and meet latency"). The error budget is
 	// 1 − Availability. Zero defaults to 0.999 when LatencyTarget is set.
 	Availability float64
-	// FastWindow and SlowWindow are the burn-rate evaluation horizons
-	// (defaults 5m and 1h).
-	FastWindow, SlowWindow time.Duration
 	// PageBurnRate overrides the paging threshold (default 14.4).
 	PageBurnRate float64
 	// Clock overrides the time source (tests pin it).
@@ -52,15 +55,17 @@ type sloBucket struct {
 // this many slices, so a 1h window advances in 60s steps.
 const sloRingBuckets = 60
 
+// sloBucketUS is one ring slice in microseconds.
+const sloBucketUS = int64(SLOSlowWindow/time.Microsecond) / sloRingBuckets
+
 // SLO is the burn-rate engine. A nil *SLO no-ops on every method, so serving
 // paths record unconditionally.
 type SLO struct {
-	cfg      SLOConfig
-	bucketUS int64
-	mu       sync.Mutex
-	ring     [sloRingBuckets]sloBucket
-	cur      int
-	start    time.Time
+	cfg   SLOConfig
+	mu    sync.Mutex
+	ring  [sloRingBuckets]sloBucket
+	cur   int
+	start time.Time
 }
 
 // NewSLO builds the engine, or returns nil when no objective is configured.
@@ -71,43 +76,30 @@ func NewSLO(cfg SLOConfig) *SLO {
 	if cfg.Availability <= 0 || cfg.Availability >= 1 {
 		cfg.Availability = 0.999
 	}
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = 5 * time.Minute
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = time.Hour
-	}
-	if cfg.SlowWindow < cfg.FastWindow {
-		cfg.SlowWindow = cfg.FastWindow
-	}
 	if cfg.PageBurnRate <= 0 {
 		cfg.PageBurnRate = DefaultPageBurnRate
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	s := &SLO{cfg: cfg, bucketUS: cfg.SlowWindow.Microseconds() / sloRingBuckets, start: cfg.Clock()}
-	if s.bucketUS <= 0 {
-		s.bucketUS = 1
-	}
-	return s
+	return &SLO{cfg: cfg, start: cfg.Clock()}
 }
 
 // advance rotates the ring to the bucket covering now. Caller holds mu.
 func (s *SLO) advance(nowUS int64) {
-	want := nowUS / s.bucketUS
-	have := s.ring[s.cur].startUS / s.bucketUS
+	want := nowUS / sloBucketUS
+	have := s.ring[s.cur].startUS / sloBucketUS
 	if want-have >= sloRingBuckets {
 		// Idle longer than the slow window: every retained bucket is stale.
 		s.ring = [sloRingBuckets]sloBucket{}
 		s.cur = 0
-		s.ring[0].startUS = want * s.bucketUS
+		s.ring[0].startUS = want * sloBucketUS
 		return
 	}
 	for have < want {
 		have++
 		s.cur = (s.cur + 1) % sloRingBuckets
-		s.ring[s.cur] = sloBucket{startUS: have * s.bucketUS}
+		s.ring[s.cur] = sloBucket{startUS: have * sloBucketUS}
 	}
 }
 
@@ -139,7 +131,7 @@ func (s *SLO) window(nowUS int64, d time.Duration) (total, errors, slow int64) {
 			continue
 		}
 		// A bucket contributes if any part of it overlaps the window.
-		if b.startUS+s.bucketUS > horizon && b.startUS <= nowUS {
+		if b.startUS+sloBucketUS > horizon && b.startUS <= nowUS {
 			total += b.total
 			errors += b.errors
 			slow += b.slow
@@ -206,8 +198,8 @@ func (s *SLO) Report() SLOReport {
 		}
 		return w
 	}
-	r.Fast = eval("fast", s.cfg.FastWindow)
-	r.Slow = eval("slow", s.cfg.SlowWindow)
+	r.Fast = eval("fast", SLOFastWindow)
+	r.Slow = eval("slow", SLOSlowWindow)
 	r.PageAvailability = r.Fast.AvailabilityBurn >= s.cfg.PageBurnRate &&
 		r.Slow.AvailabilityBurn >= s.cfg.PageBurnRate
 	r.PageLatency = s.cfg.LatencyTarget > 0 &&

@@ -156,20 +156,3 @@ func (m *StageMetrics) Record(b *StageBreakdown, requestID string) {
 		}
 	}
 }
-
-// Views snapshots the stage histograms that saw traffic, keyed by stage name.
-func (m *StageMetrics) Views() map[string]HistView {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]HistView)
-	for id := StageID(0); id < NumStages; id++ {
-		if v := m.hists[id].View(); v.Count > 0 {
-			out[stageNames[id]] = v
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}

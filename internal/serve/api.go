@@ -244,8 +244,10 @@ func errorDetail(err error) ErrorDetail {
 	return d
 }
 
-// writeJSON writes a response body with the canonical marshaling.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// RespondJSON writes a response body with the canonical marshaling. Both
+// tiers answer through it, so a coordinator-originated body is
+// indistinguishable in shape from a daemon's.
+func RespondJSON(w http.ResponseWriter, status int, v any) {
 	body, err := MarshalBody(v)
 	if err != nil {
 		http.Error(w, `{"error":{"kind":"internal","msg":"marshal failure"}}`, http.StatusInternalServerError)
@@ -264,12 +266,12 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-// writeError writes the typed-fault error shape, attaching Retry-After to
+// RespondError writes the typed-fault error shape, attaching Retry-After to
 // overload sheds.
-func writeError(w http.ResponseWriter, err error, retryAfterSeconds int) {
+func RespondError(w http.ResponseWriter, err error, retryAfterSeconds int) {
 	status := httpStatus(err)
 	if status == http.StatusServiceUnavailable && retryAfterSeconds > 0 {
 		w.Header().Set("Retry-After", obs.Itoa(int64(retryAfterSeconds)))
 	}
-	writeJSON(w, status, ErrorBody{Error: errorDetail(err)})
+	RespondJSON(w, status, ErrorBody{Error: errorDetail(err)})
 }

@@ -108,8 +108,9 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		t.Fatalf("headers: %d miss / %d collapsed, want 1 / %d", miss, collapsed, k-1)
 	}
 	_, m := getMetrics(t, ts.URL)
-	if !m.Cache.Enabled || m.Cache.Misses != 1 || m.Cache.Collapses != k-1 {
-		t.Fatalf("metrics cache = %+v, want enabled, 1 miss, %d collapses", m.Cache, k-1)
+	misses, collapses := m.num(t, "analogfold_serve_cache_misses_total"), m.num(t, "analogfold_serve_cache_collapses_total")
+	if misses != 1 || collapses != k-1 {
+		t.Fatalf("metrics cache misses=%d collapses=%d, want 1 miss, %d collapses", misses, collapses, k-1)
 	}
 }
 
@@ -141,8 +142,10 @@ func TestCacheHitReplaysBytes(t *testing.T) {
 		t.Fatalf("executions after distinct seed = %d, want 2", n)
 	}
 	_, m := getMetrics(t, ts.URL)
-	if m.Cache.Hits != 1 || m.Cache.Misses != 2 || m.Cache.Entries != 2 {
-		t.Fatalf("metrics cache = %+v, want 1 hit / 2 misses / 2 entries", m.Cache)
+	hits, misses, entries := m.num(t, "analogfold_serve_cache_hits_total"),
+		m.num(t, "analogfold_serve_cache_misses_total"), m.num(t, "analogfold_serve_cache_entries")
+	if hits != 1 || misses != 2 || entries != 2 {
+		t.Fatalf("metrics cache hits=%d misses=%d entries=%d, want 1 hit / 2 misses / 2 entries", hits, misses, entries)
 	}
 }
 
@@ -156,8 +159,8 @@ func TestCacheHitServedWhileBreakerOpen(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.brk.record(true)
 	}
-	if state, _, _ := s.brk.snapshot(); state != "open" {
-		t.Fatalf("breaker state = %q, want open", state)
+	if state, _, _ := s.brk.snapshot(); state != breakerOpen {
+		t.Fatalf("breaker state = %s, want open", state)
 	}
 	resp, b := postJSON(t, ts.URL+"/v1/guidance", `{"bench":"OTA1-A","seed":7}`)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderCache) != "hit" {
@@ -294,14 +297,14 @@ func TestBatchWaveBitIdentity(t *testing.T) {
 	wg.Wait()
 
 	_, m := getMetrics(t, tsA.URL)
-	if m.Batch.Waves != 1 {
-		t.Fatalf("batch waves = %d, want 1 (BatchMax=%d closes the wave)", m.Batch.Waves, len(seeds))
+	if waves := m.num(t, "analogfold_serve_batch_waves_total"); waves != 1 {
+		t.Fatalf("batch waves = %d, want 1 (BatchMax=%d closes the wave)", waves, len(seeds))
 	}
-	if want := int64(len(seeds) * testOpts().NDerive); m.Batch.Candidates != want {
-		t.Fatalf("batched candidates = %d, want %d", m.Batch.Candidates, want)
+	if want, got := int64(len(seeds)*testOpts().NDerive), m.num(t, "analogfold_serve_batch_candidates_total"); got != want {
+		t.Fatalf("batched candidates = %d, want %d", got, want)
 	}
-	if m.Batch.Size.Count != 1 || m.Batch.Size.MeanMS != float64(len(seeds)) {
-		t.Fatalf("batch size view = %+v, want one observation of %d", m.Batch.Size, len(seeds))
+	if size := m.hist(t, "analogfold_serve_batch_size"); size.Count != 1 || size.MeanMS != float64(len(seeds)) {
+		t.Fatalf("batch size view = %+v, want one observation of %d", size, len(seeds))
 	}
 	if n := tel.Registry().Counter("analogfold_relax_score_waves_total").Value(); n != 1 {
 		t.Fatalf("relax score-wave calls = %d, want exactly 1 PredictBatch per wave", n)

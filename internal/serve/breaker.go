@@ -5,13 +5,14 @@ import (
 	"time"
 )
 
-// breakerState is the classic three-state circuit-breaker automaton.
+// breakerState is the classic three-state circuit-breaker automaton. The
+// values are those of the analogfold_serve_breaker_state gauge.
 type breakerState int32
 
 const (
 	breakerClosed breakerState = iota
-	breakerOpen
 	breakerHalfOpen
+	breakerOpen
 )
 
 func (s breakerState) String() string {
@@ -108,8 +109,8 @@ func (b *breaker) abortProbe() {
 }
 
 // snapshot returns the state for /metrics.
-func (b *breaker) snapshot() (state string, consecutive int, trips int64) {
+func (b *breaker) snapshot() (state breakerState, consecutive int, trips int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state.String(), b.consecutive, b.trips
+	return b.state, b.consecutive, b.trips
 }

@@ -27,12 +27,12 @@ func TestBreakerTripsOnConsecutiveFaults(t *testing.T) {
 		}
 		b.record(true)
 	}
-	if st, _, _ := b.snapshot(); st != "closed" {
+	if st, _, _ := b.snapshot(); st != breakerClosed {
 		t.Fatalf("state after 2 faults = %s, want closed", st)
 	}
 	b.allow()
 	b.record(true) // third consecutive fault
-	if st, _, trips := b.snapshot(); st != "open" || trips != 1 {
+	if st, _, trips := b.snapshot(); st != breakerOpen || trips != 1 {
 		t.Fatalf("state after 3 faults = %s trips=%d, want open/1", st, trips)
 	}
 	if b.allow() {
@@ -52,7 +52,7 @@ func TestBreakerSuccessResetsCount(t *testing.T) {
 	b.record(true)
 	b.allow()
 	b.record(true)
-	if st, n, _ := b.snapshot(); st != "closed" || n != 2 {
+	if st, n, _ := b.snapshot(); st != breakerClosed || n != 2 {
 		t.Fatalf("state=%s consecutive=%d, want closed/2", st, n)
 	}
 }
@@ -73,7 +73,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		t.Fatal("second concurrent probe admitted in half-open")
 	}
 	b.record(false) // probe succeeds → closed
-	if st, _, _ := b.snapshot(); st != "closed" {
+	if st, _, _ := b.snapshot(); st != breakerClosed {
 		t.Fatalf("state after good probe = %s, want closed", st)
 	}
 	if !b.allow() {
@@ -90,7 +90,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 		t.Fatal("probe refused")
 	}
 	b.record(true) // probe fails → open again, fresh cooldown
-	if st, _, trips := b.snapshot(); st != "open" || trips != 2 {
+	if st, _, trips := b.snapshot(); st != breakerOpen || trips != 2 {
 		t.Fatalf("state=%s trips=%d, want open/2", st, trips)
 	}
 	if b.allow() {
@@ -137,7 +137,7 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	if admitted != 1 {
 		t.Fatalf("half-open admitted %d concurrent probes, want exactly 1", admitted)
 	}
-	if st, _, _ := b.snapshot(); st != "half-open" {
+	if st, _, _ := b.snapshot(); st != breakerHalfOpen {
 		t.Fatalf("state = %s with probe in flight, want half-open", st)
 	}
 
@@ -149,7 +149,7 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	// Probe fails → open again; the losers' refusals must not have consumed
 	// anything: after another cooldown, exactly one new probe is admitted.
 	b.record(true)
-	if st, _, trips := b.snapshot(); st != "open" || trips != 2 {
+	if st, _, trips := b.snapshot(); st != breakerOpen || trips != 2 {
 		t.Fatalf("state=%s trips=%d after failed probe, want open/2", st, trips)
 	}
 	clk.advance(2 * time.Minute)
@@ -174,7 +174,7 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 		t.Fatalf("second half-open cycle admitted %d probes, want exactly 1", admitted)
 	}
 	b.record(false)
-	if st, _, _ := b.snapshot(); st != "closed" {
+	if st, _, _ := b.snapshot(); st != breakerClosed {
 		t.Fatalf("state after good probe = %s, want closed", st)
 	}
 }

@@ -119,15 +119,15 @@ func TestChaosModelFaultsTripBreakerUnderLoad(t *testing.T) {
 
 	// The consecutive model faults must have tripped the breaker.
 	st, _, trips := s.brk.snapshot()
-	if st != "open" || trips < 1 {
+	if st != breakerOpen || trips < 1 {
 		t.Errorf("breaker = %s trips=%d after sustained model faults, want open/>=1", st, trips)
 	}
-	snap := s.metricsSnapshot()
-	if snap.Accepted+snap.Shed != snap.Sent || snap.Sent != clients {
-		t.Errorf("metrics accounting accepted=%d shed=%d sent=%d (clients=%d)",
-			snap.Accepted, snap.Shed, snap.Sent, clients)
+	mb := registryMetrics(t, s)
+	accepted, shed := mb.num(t, "analogfold_serve_accepted_total"), mb.num(t, "analogfold_serve_shed_total")
+	if accepted+shed != clients {
+		t.Errorf("metrics accounting accepted=%d shed=%d (clients=%d)", accepted, shed, clients)
 	}
-	if snap.Degraded == 0 {
+	if mb.num(t, "analogfold_serve_degraded_total") == 0 {
 		t.Error("degraded counter is zero under a fully poisoned model")
 	}
 

@@ -71,7 +71,7 @@ func (s *Server) handleDatasetShard(w http.ResponseWriter, r *http.Request) {
 
 	sr, err := s.GenerateShardLocal(ctx, req)
 	if err != nil {
-		writeError(w, err, 0)
+		RespondError(w, err, 0)
 		return
 	}
 	s.met.shardRequests.Add(1)
@@ -80,5 +80,5 @@ func (s *Server) handleDatasetShard(w http.ResponseWriter, r *http.Request) {
 	s.logCtx(ctx, "dataset shard labeled",
 		"bench", req.Bench, "index", req.Index, "lo", req.Lo, "hi", req.Hi,
 		"entries", len(sr.Entries), "dropped", sr.Dropped)
-	writeJSON(w, http.StatusOK, sr)
+	RespondJSON(w, http.StatusOK, sr)
 }

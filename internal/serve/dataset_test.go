@@ -59,10 +59,12 @@ func TestDatasetShardEndpointBitIdentical(t *testing.T) {
 			sr.Digest, want.Digest)
 	}
 
-	m := s.metricsSnapshot()
-	if m.Dataset.Shards != 1 || m.Dataset.Entries != int64(len(sr.Entries)) || m.Dataset.Dropped != int64(sr.Dropped) {
-		t.Errorf("shard metrics = %+v, want 1 shard / %d entries / %d dropped",
-			m.Dataset, len(sr.Entries), sr.Dropped)
+	m := registryMetrics(t, s)
+	shards, entries, dropped := m.num(t, "analogfold_serve_dataset_shards_total"),
+		m.num(t, "analogfold_serve_dataset_entries_total"), m.num(t, "analogfold_serve_dataset_dropped_total")
+	if shards != 1 || entries != int64(len(sr.Entries)) || dropped != int64(sr.Dropped) {
+		t.Errorf("shard metrics = %d shards / %d entries / %d dropped, want 1 shard / %d entries / %d dropped",
+			shards, entries, dropped, len(sr.Entries), sr.Dropped)
 	}
 }
 

@@ -28,9 +28,10 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, b
 }
 
-// TestMetricsContentTypes pins the two /metrics renderings: the legacy JSON
-// snapshot (application/json, with build info) and the Prometheus text
-// exposition (?format=prom, versioned text/plain content type).
+// TestMetricsContentTypes pins the two /metrics renderings of one registry:
+// the series-keyed JSON object (application/json, with build info) and the
+// Prometheus text exposition (?format=prom, versioned text/plain content
+// type), with one JSON key per Prometheus family.
 func TestMetricsContentTypes(t *testing.T) {
 	s := New(gnn3d.New(gnn3d.Config{Seed: 1}), Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -43,12 +44,10 @@ func TestMetricsContentTypes(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("JSON Content-Type = %q, want application/json", ct)
 	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("snapshot not JSON: %v\n%s", err, body)
-	}
-	if snap.Build.GoVersion == "" {
-		t.Errorf("snapshot missing build info: %+v", snap.Build)
+	m := decodeMetrics(t, body)
+	var build map[string]string
+	if err := json.Unmarshal(m["analogfold_build_info"], &build); err != nil || build["goversion"] == "" {
+		t.Errorf("JSON missing build info: %s (%v)", m["analogfold_build_info"], err)
 	}
 
 	resp, body = getBody(t, ts.URL+"/metrics?format=prom")
@@ -66,14 +65,29 @@ func TestMetricsContentTypes(t *testing.T) {
 	if !strings.Contains(text, "# TYPE analogfold_serve_queue_depth gauge") {
 		t.Errorf("prom exposition missing serve gauge TYPE line:\n%s", text)
 	}
-	// Every non-comment line must be a well-formed sample.
+	// Every non-comment line must be a well-formed sample, and every family
+	// a key of the JSON object.
 	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9eE+.naif-]+$`)
+	families := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			families[strings.Fields(line)[2]] = true
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		if !sample.MatchString(line) {
 			t.Errorf("malformed exposition line: %q", line)
+		}
+	}
+	for name := range families {
+		if _, ok := m[name]; !ok {
+			t.Errorf("prom family %s has no JSON key", name)
+		}
+	}
+	for name := range m {
+		if !families[name] {
+			t.Errorf("JSON key %s has no prom family", name)
 		}
 	}
 }

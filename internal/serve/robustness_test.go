@@ -185,7 +185,7 @@ func TestHalfOpenLosersServedFromLadderOverHTTP(t *testing.T) {
 
 	// Trip the breaker, heal the model, elapse the cooldown.
 	postJSON(t, ts.URL+"/v1/guidance", `{"bench":"OTA1-A"}`)
-	if st, _, _ := s.brk.snapshot(); st != "open" {
+	if st, _, _ := s.brk.snapshot(); st != breakerOpen {
 		t.Fatalf("breaker = %s, want open", st)
 	}
 	mu.Lock()
@@ -227,7 +227,7 @@ func TestHalfOpenLosersServedFromLadderOverHTTP(t *testing.T) {
 	if gr := <-probeResp; gr.Rung != "elite" {
 		t.Errorf("probe response rung = %q, want elite", gr.Rung)
 	}
-	if st, _, _ := s.brk.snapshot(); st != "closed" {
+	if st, _, _ := s.brk.snapshot(); st != breakerClosed {
 		t.Errorf("breaker = %s after successful probe, want closed", st)
 	}
 }

@@ -59,10 +59,8 @@ type Config struct {
 	// Opts are the base flow options (seed, restart budget, workers, stage
 	// timeouts…) that per-request knobs override.
 	Opts core.Options
-	// Logf, when set, receives operational log lines (panics, breaker trips,
-	// drain progress). Logger, when set, takes precedence and receives the
-	// same lines as structured records.
-	Logf   func(format string, args ...any)
+	// Logger, when set, receives operational log lines (panics, breaker
+	// trips, drain progress) as structured records.
 	Logger *slog.Logger
 	// Telemetry, when set, is injected into every admitted request's context:
 	// the pipeline's spans and events land in its flight recorder (served at
@@ -72,12 +70,9 @@ type Config struct {
 	// SLOLatency and SLOAvailability configure the burn-rate SLO engine
 	// served at /debug/slo: a per-request latency objective and a shared
 	// availability/compliance target (e.g. 0.999). Both zero disables the
-	// engine. SLOFastWindow/SLOSlowWindow override the burn-rate evaluation
-	// horizons (defaults 5m / 1h).
+	// engine.
 	SLOLatency      time.Duration
 	SLOAvailability float64
-	SLOFastWindow   time.Duration
-	SLOSlowWindow   time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -126,8 +121,7 @@ type Server struct {
 	adm   *admission
 	brk   *breaker
 	met   metrics
-	reg   *obs.Registry
-	build BuildInfo
+	ops   Ops
 	cache *servecache.Cache // nil when CacheEntries == 0
 	batch *batcher          // nil when BatchWindow == 0
 	slo   *obs.SLO          // nil when no objective configured
@@ -157,8 +151,6 @@ func New(model *gnn3d.Model, cfg Config) *Server {
 		model:   model,
 		adm:     newAdmission(cfg.QueueCapacity, cfg.QueueBacklog, cfg.AdmissionTimeout),
 		brk:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		reg:     reg,
-		build:   readBuildInfo(),
 		cache:   servecache.New(cfg.CacheEntries),
 		flows:   make(map[string]*flowEntry),
 		drained: make(chan struct{}),
@@ -166,13 +158,12 @@ func New(model *gnn3d.Model, cfg Config) *Server {
 	if cfg.BatchWindow > 0 {
 		s.batch = newBatcher(s)
 	}
-	s.slo = obs.NewSLO(obs.SLOConfig{
-		LatencyTarget: cfg.SLOLatency, Availability: cfg.SLOAvailability,
-		FastWindow: cfg.SLOFastWindow, SlowWindow: cfg.SLOSlowWindow,
-	})
+	s.slo = obs.NewSLO(obs.SLOConfig{LatencyTarget: cfg.SLOLatency, Availability: cfg.SLOAvailability})
 	s.slo.Register(reg, "analogfold_serve")
 	s.met = newMetrics(reg)
 	s.registerOwnerMetrics(reg)
+	s.ops = Ops{Registry: reg, Telemetry: cfg.Telemetry, SLO: s.slo, SLOPrefix: "analogfold_serve",
+		Drained: s.drained, Log: s.logCtx}
 	s.doGuidance = func(ctx context.Context, f *core.Flow, hg *hetgraph.Graph, req GuidanceRequest, useModel bool) (*GuidanceResponse, error) {
 		if useModel && s.model != nil && s.batch != nil {
 			return s.buildGuidanceWave(ctx, f, hg, req)
@@ -234,18 +225,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/guidance", s.withObs(s.withRecovery(s.handleGuidance)))
 	mux.HandleFunc("/v1/route", s.withObs(s.withRecovery(s.handleRoute)))
 	mux.HandleFunc("/v1/dataset/shard", s.withObs(s.withRecovery(s.handleDatasetShard)))
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/flight", s.handleFlight)
-	mux.HandleFunc("/debug/slo", s.handleSLO)
+	s.ops.Mount(mux)
 	return mux
 }
 
 // DebugHandler returns the diagnostics surface the daemon serves on its
-// separate -debug-addr listener: net/http/pprof, /debug/vars (expvar), the
-// flight recorder and the metrics endpoint. It is kept off the main listener
-// so profiling endpoints are never exposed on the service port by accident.
+// separate -debug-addr listener: net/http/pprof, /debug/vars (expvar) and the
+// same ops endpoints as Handler. It is kept off the main listener so
+// profiling endpoints are never exposed on the service port by accident.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -254,9 +241,7 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/flight", s.handleFlight)
-	mux.HandleFunc("/debug/slo", s.handleSLO)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	s.ops.Mount(mux)
 	return mux
 }
 
@@ -266,7 +251,7 @@ func (s *Server) DebugHandler() http.Handler {
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, into any) (release func(), ok bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorBody{Error: ErrorDetail{
+		RespondJSON(w, http.StatusMethodNotAllowed, ErrorBody{Error: ErrorDetail{
 			Kind: "method not allowed", Msg: "use POST"}})
 		return nil, false
 	}
@@ -275,19 +260,17 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, into any) (releas
 		err = json.Unmarshal(body, into)
 	}
 	if err != nil {
-		writeError(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"), 0)
+		RespondError(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"), 0)
 		return nil, false
 	}
 	waitStart := time.Now()
 	if err := s.adm.acquire(r.Context()); err != nil {
 		// The Retry-After jitter keys on the request content so identical
 		// retries get a consistent hint while distinct clients spread out.
-		writeError(w, err, s.adm.retryAfterSeconds(obs.FNV64a(body)))
+		RespondError(w, err, s.adm.retryAfterSeconds(obs.FNV64a(body)))
 		return nil, false
 	}
-	wait := time.Since(waitStart)
-	s.met.queueWait.Observe(wait)
-	obs.StagesFrom(r.Context()).Add(obs.StageQueue, wait)
+	obs.StagesFrom(r.Context()).Add(obs.StageQueue, time.Since(waitStart))
 	return s.adm.release, true
 }
 
@@ -307,16 +290,16 @@ func (s *Server) handleGuidance(w http.ResponseWriter, r *http.Request) {
 	defer span.Arg("bench", req.Bench).End()
 	f, hg, err := s.flowFor(req.Bench)
 	if err != nil {
-		writeError(w, err, 0)
+		RespondError(w, err, 0)
 		return
 	}
 	if s.cache == nil {
 		resp, err := s.computeGuidance(ctx, f, hg, req)
 		if resp == nil {
-			writeError(w, err, 0)
+			RespondError(w, err, 0)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		RespondJSON(w, http.StatusOK, resp)
 		return
 	}
 	// The cache lookup runs before the breaker gate: a hit replays stored
@@ -343,7 +326,7 @@ func (s *Server) handleGuidance(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderCache, st.String())
 	span.Arg("cache", st.String())
 	if body == nil {
-		writeError(w, err, 0)
+		RespondError(w, err, 0)
 		return
 	}
 	writeBody(w, http.StatusOK, body)
@@ -388,16 +371,16 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	defer span.Arg("bench", req.Bench).End()
 	f, hg, err := s.flowFor(req.Bench)
 	if err != nil {
-		writeError(w, err, 0)
+		RespondError(w, err, 0)
 		return
 	}
 	if s.cache == nil {
 		resp, err := s.computeRoute(ctx, f, hg, req)
 		if resp == nil {
-			writeError(w, err, 0)
+			RespondError(w, err, 0)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		RespondJSON(w, http.StatusOK, resp)
 		return
 	}
 	key := cacheKeyFor("route", f, req.Seed, req.Restarts, req.NDerive)
@@ -419,7 +402,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderCache, st.String())
 	span.Arg("cache", st.String())
 	if body == nil {
-		writeError(w, err, 0)
+		RespondError(w, err, 0)
 		return
 	}
 	writeBody(w, http.StatusOK, body)
@@ -472,79 +455,6 @@ func (s *Server) recordModelOutcome(err error) {
 	if after, _, _ := s.brk.snapshot(); after != before {
 		s.logf("breaker %s -> %s", before, after)
 	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, "ok\n")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	select {
-	case <-s.drained:
-		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrorDetail{
-			Kind: "draining", Msg: "server is shutting down"}})
-	default:
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ready\n")
-	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		if err := s.reg.WritePrometheus(w); err != nil {
-			s.logf("metrics: prometheus write: %v", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
-}
-
-// handleSLO serves the burn-rate engine: the SLOReport as JSON by default,
-// or Prometheus text exposition with ?format=prom. With no objectives
-// configured it reports {"enabled":false} rather than an error, so probes can
-// always scrape it.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		if err := s.slo.WritePrometheus(w, "analogfold_serve"); err != nil {
-			s.logf("slo: prometheus write: %v", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, s.slo.Report())
-}
-
-// FlightSnapshot is the JSON body of GET /debug/flight: the bounded ring's
-// retained events oldest-first plus the drop accounting.
-type FlightSnapshot struct {
-	Total   uint64            `json:"total"`
-	Dropped uint64            `json:"dropped"`
-	Events  []obs.FlightEvent `json:"events"`
-}
-
-// handleFlight serves the flight recorder: the recent-event ring as JSON by
-// default, or as Chrome trace_event JSON (loadable in chrome://tracing and
-// Perfetto) with ?format=trace. Without telemetry configured it reports an
-// empty recording rather than an error, so dashboards can always scrape it.
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	rec := s.cfg.Telemetry.Recorder()
-	if r.URL.Query().Get("format") == "trace" {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		if err := s.cfg.Telemetry.WriteTrace(w); err != nil {
-			s.logf("flight: trace write: %v", err)
-		}
-		return
-	}
-	snap := FlightSnapshot{Total: rec.Total(), Dropped: rec.Dropped(), Events: rec.Snapshot()}
-	if snap.Events == nil {
-		snap.Events = []obs.FlightEvent{}
-	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
 // Serve runs the daemon on the listener until ctx is canceled (SIGTERM /

@@ -20,6 +20,7 @@ import (
 	"analogfold/internal/gnn3d"
 	"analogfold/internal/hetgraph"
 	"analogfold/internal/netlist"
+	"analogfold/internal/obs"
 	"analogfold/internal/place"
 )
 
@@ -219,27 +220,62 @@ func TestLoadShedAccounting(t *testing.T) {
 	}
 
 	_, mb := getMetrics(t, ts.URL)
-	if mb.Accepted != 2 || mb.Shed != 6 || mb.Sent != 8 {
-		t.Errorf("accounting accepted=%d shed=%d sent=%d, want 2/6/8",
-			mb.Accepted, mb.Shed, mb.Sent)
+	accepted, shed := mb.num(t, "analogfold_serve_accepted_total"), mb.num(t, "analogfold_serve_shed_total")
+	if accepted != 2 || shed != 6 {
+		t.Errorf("accounting accepted=%d shed=%d, want 2/6", accepted, shed)
 	}
-	if mb.Accepted+mb.Shed != mb.Sent {
-		t.Errorf("accepted+shed != sent: %d+%d != %d", mb.Accepted, mb.Shed, mb.Sent)
+	if accepted+shed != 8 {
+		t.Errorf("accepted+shed != sent: %d+%d != 8", accepted, shed)
 	}
 }
 
-func getMetrics(t *testing.T, base string) (*http.Response, MetricsSnapshot) {
+// metricsBody is a decoded /metrics JSON object: series name → raw value.
+type metricsBody map[string]json.RawMessage
+
+// num reads a counter or gauge series.
+func (m metricsBody) num(t *testing.T, name string) int64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	var v float64
+	if err := json.Unmarshal(m[name], &v); err != nil {
+		t.Fatalf("series %s = %s: %v", name, m[name], err)
+	}
+	return int64(v)
+}
+
+// hist reads a histogram series.
+func (m metricsBody) hist(t *testing.T, name string) obs.HistView {
+	t.Helper()
+	var v obs.HistView
+	if err := json.Unmarshal(m[name], &v); err != nil {
+		t.Fatalf("series %s = %s: %v", name, m[name], err)
+	}
+	return v
+}
+
+func decodeMetrics(t *testing.T, body []byte) metricsBody {
+	t.Helper()
+	var m metricsBody
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("/metrics body is not a JSON object: %v\n%s", err, body)
+	}
+	return m
+}
+
+func getMetrics(t *testing.T, base string) (*http.Response, metricsBody) {
+	t.Helper()
+	resp, body := getBody(t, base+"/metrics")
+	return resp, decodeMetrics(t, body)
+}
+
+// registryMetrics renders the server's registry exactly as GET /metrics
+// does, for tests that hold the server but no listener.
+func registryMetrics(t *testing.T, s *Server) metricsBody {
+	t.Helper()
+	body, err := MarshalBody(s.ops.Registry.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var m MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return resp, m
+	return decodeMetrics(t, body)
 }
 
 func TestPanicBecomesTypedFault(t *testing.T) {
@@ -271,8 +307,8 @@ func TestPanicBecomesTypedFault(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Errorf("request after panic got %d, want 200", resp2.StatusCode)
 	}
-	if _, m := getMetrics(t, ts.URL); m.Panics != 1 {
-		t.Errorf("panics metric = %d, want 1", m.Panics)
+	if _, m := getMetrics(t, ts.URL); m.num(t, "analogfold_serve_panics_total") != 1 {
+		t.Errorf("panics metric = %d, want 1", m.num(t, "analogfold_serve_panics_total"))
 	}
 }
 
@@ -309,7 +345,7 @@ func TestBreakerRoutesDownLadderOverHTTP(t *testing.T) {
 			t.Fatalf("degraded response must still be 200, got %d", resp.StatusCode)
 		}
 	}
-	if st, _, _ := s.brk.snapshot(); st != "open" {
+	if st, _, _ := s.brk.snapshot(); st != breakerOpen {
 		t.Fatalf("breaker = %s after threshold faults, want open", st)
 	}
 
@@ -339,11 +375,56 @@ func TestBreakerRoutesDownLadderOverHTTP(t *testing.T) {
 	if gr.Rung != "elite" {
 		t.Errorf("probe response rung = %q, want elite", gr.Rung)
 	}
-	if st, _, _ := s.brk.snapshot(); st != "closed" {
+	if st, _, _ := s.brk.snapshot(); st != breakerClosed {
 		t.Errorf("breaker = %s after good probe, want closed", st)
 	}
-	if _, m := getMetrics(t, ts.URL); m.Breaker.Trips != 1 {
-		t.Errorf("trips = %d, want 1", m.Breaker.Trips)
+	if _, m := getMetrics(t, ts.URL); m.num(t, "analogfold_serve_breaker_trips_total") != 1 {
+		t.Errorf("trips = %d, want 1", m.num(t, "analogfold_serve_breaker_trips_total"))
+	}
+}
+
+// TestParseHealthReadsServedMetrics pins the cluster prober's view of a
+// daemon: ParseHealth on the real /metrics body reads the breaker closed,
+// then open once stubbed model faults trip it, and the admission queue depth
+// the daemon reports.
+func TestParseHealthReadsServedMetrics(t *testing.T) {
+	s := New(nil, Config{BreakerThreshold: 2, BreakerCooldown: time.Hour, Opts: testOpts()})
+	stubFlow(s, "OTA1-A")
+	s.doGuidance = func(_ context.Context, _ *core.Flow, _ *hetgraph.Graph, _ GuidanceRequest, useModel bool) (*GuidanceResponse, error) {
+		if !useModel {
+			return &GuidanceResponse{Bench: "OTA1-A", Rung: "uniform", Degraded: true}, nil
+		}
+		return &GuidanceResponse{Bench: "OTA1-A", Rung: "uniform", Degraded: true},
+			fault.New(fault.StageRelaxation, fault.ErrExhausted, "injected model fault")
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	health := func() Health {
+		t.Helper()
+		_, body := getBody(t, ts.URL+"/metrics")
+		h, ok := ParseHealth(body)
+		if !ok {
+			t.Fatalf("ParseHealth rejected the served /metrics body:\n%s", body)
+		}
+		return h
+	}
+	if h := health(); h.BreakerOpen() || h.Breaker != 0 || h.QueueDepth != 0 {
+		t.Fatalf("idle daemon health = %+v, want closed breaker and empty queue", h)
+	}
+	for i := 0; i < 2; i++ {
+		postJSON(t, ts.URL+"/v1/guidance", `{"bench":"OTA1-A"}`)
+	}
+	if st, _, _ := s.brk.snapshot(); st != breakerOpen {
+		t.Fatalf("breaker = %s after threshold faults, want open", st)
+	}
+	if h := health(); !h.BreakerOpen() || h.Breaker != 2 {
+		t.Fatalf("health after trip = %+v, want breaker open (2)", h)
+	}
+	s.adm.waiting.Add(5)
+	defer s.adm.waiting.Add(-5)
+	if h := health(); h.QueueDepth != 5 {
+		t.Fatalf("health queue depth = %d, want 5", h.QueueDepth)
 	}
 }
 

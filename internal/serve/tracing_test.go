@@ -185,11 +185,7 @@ func TestStageMetricsExposition(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/v1/guidance", `{"bench":"OTA1-A"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d body %s", resp.StatusCode, body)
 	}
-	views := s.met.stages.Views()
-	v, ok := views["relax"]
-	if !ok {
-		t.Fatalf("stage views %v missing relax", views)
-	}
+	v := registryMetrics(t, s).hist(t, "analogfold_serve_stage_relax_seconds")
 	if v.Count < 1 || v.SlowestID == "" {
 		t.Errorf("relax view %+v, want count>=1 with exemplar", v)
 	}

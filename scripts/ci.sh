@@ -56,9 +56,10 @@ make cluster-chaos
 echo "== fuzz smoke (10s per target) =="
 # Short native-fuzz budgets: enough to catch a freshly introduced panic or
 # untyped error on the input-facing surfaces (netlist builder, tensor
-# constructors), a matmul kernel whose bits drift from the naive reference
-# loops, or an A* open list whose pop order drifts from the swapping
-# reference heap, cheap enough to run every time.
+# constructors, inbound traceparent, the prober's /metrics decoder), a matmul
+# kernel whose bits drift from the naive reference loops, or an A* open list
+# whose pop order drifts from the swapping reference heap, cheap enough to
+# run every time.
 make fuzz-smoke
 
 echo "== benchmark smoke (router and model hot paths compile and run) =="

@@ -120,18 +120,30 @@ func fireGuidance(b *testing.B, url string, n int, seedFor func(int) int64) time
 	return time.Since(t0)
 }
 
-func scrapeMetrics(b *testing.B, url string) serve.MetricsSnapshot {
+// scrapeMetrics reads the daemon's /metrics JSON object: series name →
+// value.
+func scrapeMetrics(b *testing.B, url string) map[string]any {
 	b.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m serve.MetricsSnapshot
+	var m map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		b.Fatal(err)
 	}
 	return m
+}
+
+// series reads one counter or gauge from a scraped /metrics object.
+func series(b *testing.B, m map[string]any, name string) int64 {
+	b.Helper()
+	v, ok := m[name].(float64)
+	if !ok {
+		b.Fatalf("/metrics series %s = %v, want a number", name, m[name])
+	}
+	return int64(v)
 }
 
 // BenchmarkServeThroughput measures batch-first serving — the duplicate-heavy
@@ -156,6 +168,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 	cached := serveBenchServer(b, m, serve.Config{CacheEntries: 256})
 	cachedWall := fireGuidance(b, cached.URL, dupN, dupSeed)
 	cm := scrapeMetrics(b, cached.URL)
+	hits, misses, collapses := series(b, cm, "analogfold_serve_cache_hits_total"),
+		series(b, cm, "analogfold_serve_cache_misses_total"), series(b, cm, "analogfold_serve_cache_collapses_total")
 	uncached := serveBenchServer(b, m, serve.Config{})
 	uncachedWall := fireGuidance(b, uncached.URL, dupN, dupSeed)
 	rep.DuplicateHeavy = serveMixRow{
@@ -163,23 +177,23 @@ func BenchmarkServeThroughput(b *testing.B) {
 		CachedMs:   cachedWall.Seconds() * 1e3,
 		UncachedMs: uncachedWall.Seconds() * 1e3,
 		Speedup:    uncachedWall.Seconds() / cachedWall.Seconds(),
-		Hits:       cm.Cache.Hits, Misses: cm.Cache.Misses, Collapses: cm.Cache.Collapses,
+		Hits:       hits, Misses: misses, Collapses: collapses,
 	}
 	b.Logf("duplicate-heavy %d req / %d unique: cached %8.1fms  uncached %8.1fms  speedup %.1fx  (%d miss, %d hit, %d collapsed)",
 		dupN, dupUnique, rep.DuplicateHeavy.CachedMs, rep.DuplicateHeavy.UncachedMs,
-		rep.DuplicateHeavy.Speedup, cm.Cache.Misses, cm.Cache.Hits, cm.Cache.Collapses)
-	if cm.Cache.Misses != dupUnique {
+		rep.DuplicateHeavy.Speedup, misses, hits, collapses)
+	if misses != dupUnique {
 		b.Errorf("cache misses = %d, want exactly the %d unique keys — duplicates executed the flow",
-			cm.Cache.Misses, dupUnique)
+			misses, dupUnique)
 	}
-	if cm.Cache.Hits+cm.Cache.Collapses != dupN-dupUnique {
-		b.Errorf("hits+collapses = %d, want %d", cm.Cache.Hits+cm.Cache.Collapses, dupN-dupUnique)
+	if hits+collapses != dupN-dupUnique {
+		b.Errorf("hits+collapses = %d, want %d", hits+collapses, dupN-dupUnique)
 	}
 	if !rep.DegenerateHost {
 		if rep.DuplicateHeavy.Speedup < 5 {
 			b.Errorf("duplicate-heavy speedup %.1fx < 5x", rep.DuplicateHeavy.Speedup)
 		}
-		if cm.Cache.Collapses < 1 {
+		if collapses < 1 {
 			b.Errorf("no singleflight collapses despite %d concurrent duplicates", dupN-dupUnique)
 		}
 	}
@@ -194,26 +208,27 @@ func BenchmarkServeThroughput(b *testing.B) {
 	})
 	distinctWall := fireGuidance(b, distinct.URL, distinctN, func(i int) int64 { return int64(100 + i) })
 	dm := scrapeMetrics(b, distinct.URL)
+	waves, candidates := series(b, dm, "analogfold_serve_batch_waves_total"), series(b, dm, "analogfold_serve_batch_candidates_total")
 	scoreWaves := reg.Counter("analogfold_relax_score_waves_total").Value()
 	rep.AllDistinct = serveMixRow{
 		Requests: distinctN, Unique: distinctN,
 		CachedMs: distinctWall.Seconds() * 1e3,
-		Misses:   dm.Cache.Misses,
-		Waves:    dm.Batch.Waves, Candidates: dm.Batch.Candidates, ScoreWaves: scoreWaves,
+		Misses:   series(b, dm, "analogfold_serve_cache_misses_total"),
+		Waves:    waves, Candidates: candidates, ScoreWaves: scoreWaves,
 	}
 	b.Logf("all-distinct %d req: %8.1fms  %d waves  %d candidates  %d PredictBatch calls",
-		distinctN, rep.AllDistinct.CachedMs, dm.Batch.Waves, dm.Batch.Candidates, scoreWaves)
-	if dm.Batch.Waves < 1 {
+		distinctN, rep.AllDistinct.CachedMs, waves, candidates, scoreWaves)
+	if waves < 1 {
 		b.Errorf("no scoring waves formed for %d concurrent distinct requests", distinctN)
 	}
-	if scoreWaves != dm.Batch.Waves {
+	if scoreWaves != waves {
 		b.Errorf("PredictBatch calls (%d) != waves (%d): a wave cost more than one model pass",
-			scoreWaves, dm.Batch.Waves)
+			scoreWaves, waves)
 	}
 	nd := quickOpts().NDerive
-	if want := int64(distinctN * nd); dm.Batch.Candidates != want {
+	if want := int64(distinctN * nd); candidates != want {
 		b.Errorf("batched candidates = %d, want %d (%d members x %d derives)",
-			dm.Batch.Candidates, want, distinctN, nd)
+			candidates, want, distinctN, nd)
 	}
 
 	// --- Wave-scoring cost model: one stacked PredictBatch for K members
