@@ -33,6 +33,7 @@ race:
 # detector: every injected fault must recover or surface a typed error.
 chaos:
 	$(GO) test -race -count=1 -tags faultinject ./internal/fault/... ./internal/parallel/ ./internal/relax/ ./internal/route/ ./internal/core/ ./internal/serve/ ./internal/dataset/
+	$(GO) test -race -count=1 -tags faultinject -run Chaos ./internal/gnn3d/
 
 # serve-chaos runs the daemon's fault-injection suite under the race
 # detector: concurrent clients against a poisoned model must get typed errors
@@ -67,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPQHeapOrder -fuzztime 10s ./internal/route/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParseHealth -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s ./internal/gnn3d/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -93,11 +95,13 @@ bench-route:
 # transient path, batched vs sequential candidate scoring) and writes
 # BENCH_model.json; the in-package micro-benchmarks cover the same arms with
 # go-bench statistics, the session cycle at the served size (Hidden 24,
-# RBFBins 12), and the three matmul kernels against their reference loops at
-# the OTA1 PP-edge shape.
+# RBFBins 12), training on the tape against the transient oracle trainer, and
+# the three matmul kernels against their reference loops at the OTA1 PP-edge
+# shape.
 bench-model:
 	$(GO) test -run NONE -bench BenchmarkModelReport -benchtime 1x .
 	$(GO) test -run NONE -bench 'BenchmarkModelCore|BenchmarkCandidateScoring|BenchmarkRelaxStep' -benchmem -benchtime 100x ./internal/gnn3d/ ./internal/relax/
+	$(GO) test -run NONE -bench BenchmarkFit -benchmem -benchtime 5x ./internal/gnn3d/
 	$(GO) test -run NONE -bench BenchmarkMatMulKernels -benchtime 2000x ./internal/tensor/
 
 # bench-serve measures batch-first serving (duplicate-heavy mix against the

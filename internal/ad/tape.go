@@ -30,7 +30,10 @@
 // Concurrency: a Tape and every requires-grad Var on it belong to one
 // goroutine at a time. Non-differentiable inputs (Const leaves, frozen
 // weights) may be shared across tapes; requires-grad leaves used with a tape
-// must be created through Tape.Leaf.
+// must be created through Tape.Leaf. Such leaves may wrap a tensor that other
+// tapes' leaves wrap too, as the 3DGNN's per-worker training views do with
+// the shared weights: the values are only read during a pass, and each
+// leaf's gradient belongs to its own tape.
 package ad
 
 import (

@@ -1,7 +1,10 @@
 package gnn3d
 
 import (
+	"math"
+
 	"analogfold/internal/ad"
+	"analogfold/internal/fault/inject"
 	"analogfold/internal/hetgraph"
 	"analogfold/internal/nn"
 	"analogfold/internal/tensor"
@@ -136,37 +139,29 @@ func (m *Model) buildRel(g *hetgraph.Graph, es *hetgraph.EdgeSet, srcIsAP bool, 
 		re.spec = spec
 		return re
 	}
+	// The unfused chain reads per-edge extent columns. A guidance-independent
+	// expansion would compute the same Ψ rows for every stacked instance, so
+	// its extents stay at the base edge set and messages row-tile the rbf
+	// output instead (tile is nil when b == 1); a guided one tiles the
+	// extents.
+	reps := b
 	if !useGuide {
-		// Guidance-independent expansion: every stacked instance would compute
-		// the same Ψ rows, so keep the extents at the base edge set and let
-		// messages row-tile the rbf output instead (tile is nil when b == 1).
-		col := func(src []float64, zero bool) *ad.Var {
-			data := make([]float64, n)
-			if !zero {
-				copy(data, src)
-			}
-			return cf(tensor.FromSlice(data, n, 1))
-		}
-		re.h = col(es.H, false)
-		re.w = col(es.W, false)
-		re.z = col(es.Z, m.Cfg.No3D)
+		reps = 1
 		if b > 1 {
 			re.tile = tileIndex(b, n)
 		}
+	}
+	extent := func(src []float64, zero bool) *ad.Var {
+		data := make([]float64, reps*n)
+		for bi := 0; bi < reps && !zero; bi++ {
+			copy(data[bi*n:(bi+1)*n], src)
+		}
+		return cf(tensor.FromSlice(data, reps*n, 1))
+	}
+	re.h, re.w, re.z = extent(es.H, false), extent(es.W, false), extent(es.Z, m.Cfg.No3D)
+	if !useGuide {
 		return re
 	}
-	tile := func(src []float64, zero bool) *ad.Var {
-		data := make([]float64, b*n)
-		if !zero {
-			for bi := 0; bi < b; bi++ {
-				copy(data[bi*n:(bi+1)*n], src)
-			}
-		}
-		return cf(tensor.FromSlice(data, b*n, 1))
-	}
-	re.h = tile(es.H, false)
-	re.w = tile(es.W, false)
-	re.z = tile(es.Z, m.Cfg.No3D)
 	re.idx = make([]int, b*n)
 	for bi := 0; bi < b; bi++ {
 		for e := 0; e < n; e++ {
@@ -300,4 +295,18 @@ func forwardCore(env *forwardEnv, cVar *ad.Var) *ad.Var {
 	}
 	u := ad.Scale(ad.Add(uAP, uM), env.invN)
 	return env.head.Forward(u) // [batch × NumMetrics]
+}
+
+// injectNaN is the chaos hook every single-evaluation forward pass consults
+// exactly once (Model.Forward, InferSession.Forward, and each training and
+// validation sample of Fit): when the fault schedule fires, it poisons pred
+// the way a diverged network would, so downstream divergence detection is
+// exercised end to end.
+func injectNaN(pred *ad.Var) *ad.Var {
+	if inject.Fire(inject.ModelNaN) {
+		for i := range pred.Value.Data {
+			pred.Value.Data[i] = math.NaN()
+		}
+	}
+	return pred
 }

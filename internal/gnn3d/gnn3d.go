@@ -16,11 +16,9 @@ package gnn3d
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"analogfold/internal/ad"
-	"analogfold/internal/fault/inject"
 	"analogfold/internal/hetgraph"
 	"analogfold/internal/nn"
 	"analogfold/internal/tensor"
@@ -128,9 +126,9 @@ func (r *relation) aggregate(v, psi *ad.Var, re *relEnv) *ad.Var {
 	return ad.Add(ad.MatMul(sum, r.mix.W), ad.MatMul(re.deg, r.mix.B))
 }
 
-// frozen returns a non-differentiable view sharing r's weights.
-func (r *relation) frozen() *relation {
-	return &relation{src: r.src.Frozen(), rbf: r.rbf.Frozen(), mix: r.mix.Frozen()}
+// view returns r with its weights rewrapped by leaf (see Model.View).
+func (r *relation) view(leaf func(*tensor.Tensor) *ad.Var) *relation {
+	return &relation{src: r.src.View(leaf), rbf: r.rbf.View(leaf), mix: r.mix.View(leaf)}
 }
 
 // layer holds the relations of one message-passing round.
@@ -195,49 +193,35 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// Clone returns an independent deep copy of the model: same architecture,
-// same weights and target normalization, but no shared tensors. Concurrent
-// relaxation restarts and minibatch gradient workers each own a clone,
-// because ad.Backward accumulates into the parameters' Grad tensors — running
-// two backward passes through one Model races on those accumulators.
-func (m *Model) Clone() *Model {
-	c := New(m.Cfg)
-	c.Circuit = m.Circuit
-	c.YMean = m.YMean
-	c.YStd = m.YStd
-	c.CopyWeightsFrom(m)
-	return c
-}
-
-// Frozen returns an inference view of the model: identical architecture and
-// normalization, with every MLP sharing this model's weight tensors through
-// non-differentiable constants. Backward passes through a frozen view skip
-// the weights entirely, so concurrent inference sessions (relax workers, the
-// serving daemon) share one trained model without per-worker clones.
-func (m *Model) Frozen() *Model {
-	f := &Model{
+// View returns the model with every weight tensor rewrapped by leaf: same
+// architecture, normalization and stamp, the weight tensors shared, the
+// graph nodes new. It is the one way a forward pass sees another context's
+// weights:
+//
+//   - Frozen (leaf = ad.Const) is the inference view. Backward passes skip
+//     the weights, so concurrent sessions (relax workers, the serving daemon)
+//     share one trained model without copies.
+//   - Fit's per-worker training view binds each weight to the worker's tape
+//     as a requires-grad leaf. The weight gradients of one sample then land
+//     on that tape's leaves, never on m's, so workers need no model copies;
+//     and the optimizer's in-place steps on m are what the next sample sees.
+func (m *Model) View(leaf func(*tensor.Tensor) *ad.Var) *Model {
+	v := &Model{
 		Cfg: m.Cfg, Circuit: m.Circuit,
-		apEnc: m.apEnc.Frozen(), mEnc: m.mEnc.Frozen(),
-		out: m.out.Frozen(), head: m.head.Frozen(),
+		apEnc: m.apEnc.View(leaf), mEnc: m.mEnc.View(leaf),
+		out: m.out.View(leaf), head: m.head.View(leaf),
 		mus: m.mus, YMean: m.YMean, YStd: m.YStd,
 	}
 	for _, l := range m.lays {
-		f.lays = append(f.lays, &layer{
-			pp: l.pp.frozen(), mp: l.mp.frozen(), pm: l.pm.frozen(), mm: l.mm.frozen(),
+		v.lays = append(v.lays, &layer{
+			pp: l.pp.view(leaf), mp: l.mp.view(leaf), pm: l.pm.view(leaf), mm: l.mm.view(leaf),
 		})
 	}
-	return f
+	return v
 }
 
-// CopyWeightsFrom copies every parameter value of src (same Cfg) into m,
-// leaving gradients untouched. Minibatch workers use it to refresh their
-// clones after each optimizer step without reallocating the architecture.
-func (m *Model) CopyWeightsFrom(src *Model) {
-	dst, ps := m.Params(), src.Params()
-	for i := range ps {
-		copy(dst[i].Value.Data, ps[i].Value.Data)
-	}
-}
+// Frozen returns the inference view of the model (View with ad.Const).
+func (m *Model) Frozen() *Model { return m.View(ad.Const) }
 
 // Params returns every trainable parameter.
 func (m *Model) Params() []*ad.Var {
@@ -259,19 +243,14 @@ func (m *Model) Params() []*ad.Var {
 // (an ad.Var of shape [numNets × 3], which may require gradients). The guided
 // edge distances run through the fused ad.RBFDist op; the ablation configs
 // keep the explicit Eq. (1)–(3) chain (see relEnv.psi in forward.go).
+// Forward builds a transient graph, fresh nodes on every call: training and
+// relaxation replay tapes instead (Fit, InferSession), and this path is the
+// oracle behind Predict and relax.Potential that those are checked against.
 func (m *Model) Forward(g *hetgraph.Graph, cVar *ad.Var) (*ad.Var, error) {
 	if cVar.Value.Dims() != 2 || cVar.Value.Shape[0] != len(g.Circuit.Nets) || cVar.Value.Shape[1] != 3 {
 		return nil, fmt.Errorf("gnn3d: guidance shape %v, want [%d 3]", cVar.Value.Shape, len(g.Circuit.Nets))
 	}
-	pred := forwardCore(m.buildEnv(g, 1, ad.Const), cVar)
-	if inject.Fire(inject.ModelNaN) {
-		// Chaos harness: poison the prediction the way a diverged network
-		// would, so downstream divergence detection is exercised end to end.
-		for i := range pred.Value.Data {
-			pred.Value.Data[i] = math.NaN()
-		}
-	}
-	return pred, nil
+	return injectNaN(forwardCore(m.buildEnv(g, 1, ad.Const), cVar)), nil
 }
 
 // onesRow builds a 1×n row of ones (used to sum node embeddings via matmul).

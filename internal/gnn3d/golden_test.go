@@ -112,15 +112,23 @@ func fitModel(t testing.TB, g *hetgraph.Graph, cfg gnn3d.Config) *gnn3d.Model {
 	t.Helper()
 	seed := cfg.Seed
 	m := gnn3d.New(cfg)
-	rng := rand.New(rand.NewSource(seed))
-	n := len(g.Circuit.Nets)
+	samples := syntheticSamples(len(g.Circuit.Nets), 20, rand.New(rand.NewSource(seed)))
+	if _, err := m.Fit(context.Background(), g, samples, gnn3d.TrainConfig{Epochs: 15, LR: 5e-3, Seed: seed}); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// syntheticSamples draws count guidance sets for nets nets from rng and
+// labels each with goldenModel's smooth synthetic objective.
+func syntheticSamples(nets, count int, rng *rand.Rand) []gnn3d.Sample {
 	var samples []gnn3d.Sample
-	for i := 0; i < 20; i++ {
-		gd := guidance.Sample(n, rng, 2)
-		ct := tensor.New(n, 3)
+	for i := 0; i < count; i++ {
+		gd := guidance.Sample(nets, rng, 2)
+		ct := tensor.New(nets, 3)
 		copy(ct.Data, gd.Flat())
 		sx := 0.0
-		for j := 0; j < n; j++ {
+		for j := 0; j < nets; j++ {
 			sx += ct.At(j, 0) + 0.5*ct.At(j, 1)
 		}
 		var y [gnn3d.NumMetrics]float64
@@ -131,10 +139,7 @@ func fitModel(t testing.TB, g *hetgraph.Graph, cfg gnn3d.Config) *gnn3d.Model {
 		y[4] = 300 * sx
 		samples = append(samples, gnn3d.Sample{C: ct, Y: y})
 	}
-	if _, err := m.Fit(context.Background(), g, samples, gnn3d.TrainConfig{Epochs: 15, LR: 5e-3, Seed: seed}); err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return samples
 }
 
 // goldenRelaxConfig is the fixed relaxation used by the golden suite: small

@@ -1,12 +1,18 @@
 package gnn3d
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"analogfold/internal/atomicfile"
+	"analogfold/internal/fault"
 	"analogfold/internal/netlist"
+	"analogfold/internal/nn"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -105,19 +111,103 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"format":"other"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bad); err == nil {
-		t.Errorf("wrong format must be rejected")
+	if _, err := Load(bad); !errors.Is(err, fault.ErrInvalidInput) {
+		t.Errorf("wrong format must be rejected as invalid input, got %v", err)
 	}
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
-		t.Errorf("missing file must error")
+	missing := filepath.Join(dir, "missing.json")
+	if _, err := Load(missing); !errors.Is(err, fault.ErrInvalidInput) || !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file must error as invalid input and keep its cause, got %v", err)
 	}
 	notJSON := filepath.Join(dir, "nj.json")
 	if err := os.WriteFile(notJSON, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(notJSON); err == nil {
-		t.Errorf("invalid JSON must be rejected")
+	if _, err := Load(notJSON); !errors.Is(err, fault.ErrInvalidInput) {
+		t.Errorf("invalid JSON must be rejected as invalid input, got %v", err)
 	}
+}
+
+// TestLoadRejectsHostileConfig feeds configurations that would make New
+// panic or allocate far beyond the file: each must come back as a typed
+// invalid-input error. The file carries 5000 values, more than the small
+// configurations imply, so the size bound alone does not reject them.
+func TestLoadRejectsHostileConfig(t *testing.T) {
+	pad := `,"tensors":[{"shape":[5000],"data":[0` + strings.Repeat(",0", 4999) + `]}]`
+	for _, cfg := range []string{
+		`{"Hidden":-5}`,
+		`{"Hidden":2,"Layers":-1}`,
+		`{"Hidden":2,"Layers":1,"RBFBins":1}`,
+		`{"Hidden":2,"Layers":1,"RBFBins":-3,"NoRBF":true}`,
+		`{"Hidden":1000000000}`,
+		`{"Hidden":9223372036854775807,"Layers":9223372036854775807}`,
+		`{"RBFBins":4000000000,"NoRBF":true}`,
+	} {
+		b := []byte(`{"format":"analogfold-3dgnn-v1","config":` + cfg + pad + `}`)
+		if _, err := decode(b); !errors.Is(err, fault.ErrInvalidInput) {
+			t.Errorf("config %s: got %v, want fault.ErrInvalidInput", cfg, err)
+		}
+	}
+}
+
+// TestParamCountMatchesNew pins the size bound Load checks against the
+// architecture New builds.
+func TestParamCountMatchesNew(t *testing.T) {
+	for _, cfg := range []Config{
+		Defaults(),
+		{Hidden: 3, Layers: 1, RBFBins: 2},
+		{Hidden: 16, Layers: 2, RBFBins: 8, NoRBF: true},
+		{Hidden: 5, Layers: 3, RBFBins: 7, NoCostAware: true, No3D: true},
+	} {
+		cfg = cfg.withDefaults()
+		if got, want := cfg.paramCount(), nn.CountParams(New(cfg).Params()); got != float64(want) {
+			t.Errorf("%+v: paramCount %.0f, New allocates %d", cfg, got, want)
+		}
+	}
+}
+
+// FuzzModelLoad drives the checkpoint decoder with arbitrary bytes. The
+// contract: never panic, fail only with fault.ErrInvalidInput, and accept
+// only a model whose every parameter came from the file.
+func FuzzModelLoad(f *testing.F) {
+	// The valid seed is the smallest model with zeroed weights: a short seed
+	// keeps the fuzzer's input minimization inside the smoke budget.
+	small := New(Config{Seed: 1, Hidden: 1, Layers: 1, RBFBins: 2})
+	mf := modelFile{Format: modelFormat, Circuit: "OTA1", Cfg: small.Cfg}
+	for _, p := range small.Params() {
+		mf.Tensors = append(mf.Tensors, serializedTensor{Shape: p.Value.Shape, Data: make([]float64, p.Value.Len())})
+	}
+	valid, err := json.Marshal(&mf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"format":"analogfold-3dgnn-v1","config":{"Hidden":-5}}`))
+	f.Add([]byte(`{"format":"analogfold-3dgnn-v1","config":{"RBFBins":1},"tensors":[{"shape":[1],"data":[1]}]}`))
+	f.Add([]byte(`{"format":"analogfold-3dgnn-v1","tensors":[{"shape":[-1,2],"data":[]}]}`))
+	f.Add([]byte(`{"format":"other"}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := decode(b)
+		if err != nil {
+			if !errors.Is(err, fault.ErrInvalidInput) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+			return
+		}
+		var in modelFile
+		if err := json.Unmarshal(b, &in); err != nil {
+			t.Fatalf("accepted bytes that do not decode: %v", err)
+		}
+		ps := m.Params()
+		if len(ps) != len(in.Tensors) {
+			t.Fatalf("accepted %d tensors for %d parameters", len(in.Tensors), len(ps))
+		}
+		for i, p := range ps {
+			if !slices.Equal(p.Value.Shape, in.Tensors[i].Shape) || len(in.Tensors[i].Data) != p.Value.Len() {
+				t.Fatalf("tensor %d: file %v/%d values, model %v", i, in.Tensors[i].Shape, len(in.Tensors[i].Data), p.Value.Shape)
+			}
+		}
+	})
 }
 
 func TestLoadRejectsTensorMismatch(t *testing.T) {

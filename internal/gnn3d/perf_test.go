@@ -1,6 +1,7 @@
 package gnn3d_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -218,4 +219,37 @@ func BenchmarkCandidateScoring(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFit measures training at the size and batch the flows use
+// (Defaults, batch 4): one op trains a fresh model for three epochs on 40
+// synthetic samples (goldenModel's objective) on the golden OTA1 fixture, 34
+// trained and 6 validated per epoch, on one worker; us/sample divides by the
+// 120 sample passes. The tape arm is Fit; the transient arm is the oracle
+// trainer that rebuilt the autodiff graph for every sample. Run with
+// -benchmem.
+func BenchmarkFit(b *testing.B) {
+	hg, _ := goldenGraph(b, netlist.OTA1(), 11)
+	samples := syntheticSamples(len(hg.Circuit.Nets), 40, rand.New(rand.NewSource(31)))
+	cfg := gnn3d.Defaults()
+	tcfg := gnn3d.TrainConfig{Epochs: 3, Seed: 1, BatchSize: 4, Workers: 1}
+	arm := func(fit func(*gnn3d.Model) error) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := fit(gnn3d.New(cfg)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*tcfg.Epochs*len(samples)), "us/sample")
+		}
+	}
+	b.Run("tape", arm(func(m *gnn3d.Model) error {
+		_, err := m.Fit(context.Background(), hg, samples, tcfg)
+		return err
+	}))
+	b.Run("transient", arm(func(m *gnn3d.Model) error {
+		_, err := gnn3d.FitTransient(m, context.Background(), hg, samples, tcfg)
+		return err
+	}))
 }

@@ -2,10 +2,8 @@ package gnn3d
 
 import (
 	"fmt"
-	"math"
 
 	"analogfold/internal/ad"
-	"analogfold/internal/fault/inject"
 	"analogfold/internal/hetgraph"
 	"analogfold/internal/tensor"
 )
@@ -65,13 +63,5 @@ func (s *InferSession) SetC(x []float64) error {
 // Model.Forward(g, ad.Leaf(c, true)) on the source model.
 func (s *InferSession) Forward() *ad.Var {
 	s.tp.Reset()
-	pred := forwardCore(s.env, s.c)
-	if inject.Fire(inject.ModelNaN) {
-		// Chaos harness parity with Model.Forward: each session evaluation
-		// consumes exactly one fault-schedule slot.
-		for i := range pred.Value.Data {
-			pred.Value.Data[i] = math.NaN()
-		}
-	}
-	return pred
+	return injectNaN(forwardCore(s.env, s.c))
 }

@@ -71,15 +71,12 @@ func TestStampLegacyCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCloneAndFrozenCarryStamp guards the derived-model paths: a clone or a
-// frozen snapshot keeps the provenance stamp, so a checkpoint saved from
-// either still validates.
+// TestCloneAndFrozenCarryStamp guards the derived-model path: a frozen
+// view keeps the provenance stamp, so a checkpoint saved from it still
+// validates. (The name predates the removal of Model.Clone.)
 func TestCloneAndFrozenCarryStamp(t *testing.T) {
 	m := New(Config{Seed: 34, Hidden: 16, Layers: 1, RBFBins: 8})
 	m.Circuit = "OTA3"
-	if c := m.Clone(); c.Circuit != "OTA3" {
-		t.Errorf("Clone dropped stamp: %q", c.Circuit)
-	}
 	if f := m.Frozen(); f.Circuit != "OTA3" {
 		t.Errorf("Frozen dropped stamp: %q", f.Circuit)
 	}

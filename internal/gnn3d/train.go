@@ -2,12 +2,14 @@ package gnn3d
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
 	"analogfold/internal/ad"
 	"analogfold/internal/fault"
 	"analogfold/internal/hetgraph"
+	"analogfold/internal/nn"
 	"analogfold/internal/obs"
 	"analogfold/internal/optim"
 	"analogfold/internal/parallel"
@@ -33,12 +35,15 @@ type TrainConfig struct {
 	// disable).
 	Patience int
 
-	// BatchSize groups this many samples per optimizer step. Within a batch
-	// the per-sample gradients are computed in parallel on model clones and
-	// reduced (averaged) in sample order, so results are identical for any
-	// Workers value. The default (1) keeps the classic per-sample stepping.
+	// BatchSize groups this many samples per optimizer step (default 1); a
+	// trailing partial batch steps on the samples it has. The samples of a
+	// batch run in parallel, each on a worker's own tape, and their weight
+	// gradients are averaged in sample order, so results are identical for
+	// any Workers value.
 	BatchSize int
-	// Workers bounds the per-sample gradient goroutines (0 → GOMAXPROCS).
+	// Workers bounds the goroutines, and with them the tapes, that compute
+	// the per-sample losses and gradients of a batch and the validation
+	// losses (0 → GOMAXPROCS).
 	Workers int
 }
 
@@ -70,27 +75,67 @@ type TrainReport struct {
 	ValLoss   []float64
 }
 
-// FinalTrain returns the last training loss.
-func (r *TrainReport) FinalTrain() float64 {
-	if len(r.TrainLoss) == 0 {
-		return math.NaN()
-	}
-	return r.TrainLoss[len(r.TrainLoss)-1]
+// fitWorker is one training goroutine's tape, the model's training view
+// bound to it (every weight a requires-grad tape leaf sharing the live
+// model's tensor, see View) with its forward environment, and two tape
+// constants that take each sample's guidance and normalized target. The
+// first sample records the tape; later ones replay it without allocating.
+type fitWorker struct {
+	tp     *ad.Tape
+	params []*ad.Var // the view's weight leaves, in Params() order
+	env    *forwardEnv
+	c, y   *ad.Var
 }
 
-// FinalVal returns the last validation loss.
-func (r *TrainReport) FinalVal() float64 {
-	if len(r.ValLoss) == 0 {
-		return math.NaN()
+func (m *Model) newFitWorker(g *hetgraph.Graph) *fitWorker {
+	tp := ad.NewTape()
+	v := m.View(func(t *tensor.Tensor) *ad.Var { return tp.Leaf(t, true) })
+	return &fitWorker{
+		tp:     tp,
+		params: v.Params(),
+		env:    v.buildEnv(g, 1, tp.Const),
+		c:      tp.Const(tensor.New(len(g.Circuit.Nets), 3)),
+		y:      tp.Const(tensor.New(1, NumMetrics)),
 	}
-	return r.ValLoss[len(r.ValLoss)-1]
+}
+
+// run replays one sample's forward pass, which consults the chaos hook
+// exactly once, and returns its L2 loss (Eq. 6) against the normalized
+// target y. A non-nil grad also receives the weight gradient of the loss,
+// flattened in Params() order.
+func (w *fitWorker) run(s Sample, y *[NumMetrics]float64, grad []float64) (float64, error) {
+	if !tensor.SameShape(s.C, w.c.Value) {
+		return 0, fmt.Errorf("gnn3d: guidance shape %v, want %v", s.C.Shape, w.c.Value.Shape)
+	}
+	copy(w.c.Value.Data, s.C.Data)
+	copy(w.y.Value.Data, y[:])
+	w.tp.Reset()
+	loss := ad.MSE(injectNaN(forwardCore(w.env, w.c)), w.y)
+	if grad != nil {
+		if err := ad.Backward(loss); err != nil {
+			return 0, err
+		}
+		for _, p := range w.params {
+			seg := grad[:p.Value.Len()]
+			if p.GradLive() {
+				copy(seg, p.Grad.Data)
+			} else {
+				clear(seg)
+			}
+			grad = grad[len(seg):]
+		}
+	}
+	return loss.Value.Data[0], nil
 }
 
 // Fit trains the model on samples from a fixed graph (one placement), using
-// the L2 loss of Eq. (6) on normalized targets. Training observes ctx at
-// every epoch boundary and inside the batch fan-out; a NaN/Inf training or
-// validation loss aborts with a typed fault.ErrDiverged rather than letting
-// the divergence poison the weights silently.
+// the L2 loss of Eq. (6) on normalized targets. Every sample's forward and
+// backward pass replays a per-worker tape through forwardCore, the engine
+// InferSession runs, on a training view of m (see View): the optimizer steps
+// m's weight tensors in place between batches and the views see each step.
+// Training observes ctx at every epoch boundary and before every sample; a
+// NaN/Inf training or validation loss aborts with a typed fault.ErrDiverged
+// rather than letting the divergence poison the weights silently.
 func (m *Model) Fit(ctx context.Context, g *hetgraph.Graph, samples []Sample, cfg TrainConfig) (*TrainReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -137,61 +182,49 @@ func (m *Model) Fit(ctx context.Context, g *hetgraph.Graph, samples []Sample, cf
 	val := idx[:nVal]
 	train := idx[nVal:]
 
-	targets := make([]*tensor.Tensor, len(samples))
+	targets := make([][NumMetrics]float64, len(samples))
 	for i, s := range samples {
-		yn := m.Normalize(s.Y)
-		targets[i] = tensor.FromSlice(yn[:], 1, NumMetrics)
+		targets[i] = m.Normalize(s.Y)
 	}
 
 	params := m.Params()
 	opt := optim.NewAdam(params, cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
-	// Worker clones for in-batch gradient parallelism: ad.Backward writes
-	// into the parameters' Grad tensors, so each concurrent sample needs its
-	// own copy of the network. Clones are refreshed from the live weights at
-	// every batch and handed out through a channel.
-	totalP := 0
-	for _, p := range params {
-		totalP += p.Value.Len()
+	// Per-batch-slot losses and gradients, reused by every batch.
+	losses := make([]float64, max(cfg.BatchSize, nVal))
+	grads := make([][]float64, cfg.BatchSize)
+	for k := range grads {
+		grads[k] = make([]float64, nn.CountParams(params))
 	}
-	var clones []*Model
-	var cloneParams [][]*ad.Var
-	var cloneIdx chan int
-	if cfg.BatchSize > 1 {
-		nc := parallel.Workers(cfg.Workers)
-		if nc > cfg.BatchSize {
-			nc = cfg.BatchSize
-		}
-		cloneIdx = make(chan int, nc)
-		for i := 0; i < nc; i++ {
-			clones = append(clones, m.Clone())
-			cloneParams = append(cloneParams, clones[i].Params())
-			cloneIdx <- i
-		}
-	}
-
-	// sampleGrad runs one forward/backward on clone ci and returns the loss
-	// and the flattened gradient in Params() order.
-	sampleGrad := func(ci, si int) (float64, []float64, error) {
-		ad.ZeroGrad(cloneParams[ci]...)
-		pred, err := clones[ci].Forward(g, ad.Const(samples[si].C))
-		if err != nil {
-			return 0, nil, err
-		}
-		loss := ad.MSE(pred, ad.Const(targets[si]))
-		if err := ad.Backward(loss); err != nil {
-			return 0, nil, err
-		}
-		gv := make([]float64, 0, totalP)
-		for _, p := range cloneParams[ci] {
-			if !p.GradLive() {
-				gv = append(gv, make([]float64, p.Value.Len())...)
-			} else {
-				gv = append(gv, p.Grad.Data...)
+	// pass runs samples ids on the workers, storing the loss of ids[k] in
+	// losses[k] and, with backward set, its gradient in grads[k]. Sample k
+	// goes to worker k mod the goroutine count: a tape is single-owner, so
+	// each worker strides over its own samples instead of sharing a queue.
+	// Workers are built on first use.
+	workers := make([]*fitWorker, parallel.Workers(cfg.Workers))
+	pass := func(ids []int, backward bool) error {
+		nw := min(len(workers), len(ids))
+		return parallel.ForEach(ctx, nw, nw, func(wi int) error {
+			if workers[wi] == nil {
+				workers[wi] = m.newFitWorker(g)
 			}
-		}
-		return loss.Value.Data[0], gv, nil
+			for k := wi; k < len(ids); k += nw {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				var grad []float64
+				if backward {
+					grad = grads[k]
+				}
+				l, err := workers[wi].run(samples[ids[k]], &targets[ids[k]], grad)
+				if err != nil {
+					return fault.Wrap(fault.StageTraining, fault.ErrModelEval, err, "sample %d", ids[k])
+				}
+				losses[k] = l
+			}
+			return nil
+		})
 	}
 
 	rep := &TrainReport{}
@@ -209,48 +242,11 @@ func (m *Model) Fit(ctx context.Context, g *hetgraph.Graph, samples []Sample, cf
 		rng.Shuffle(len(train), func(a, b int) { train[a], train[b] = train[b], train[a] })
 		sum := 0.0
 		for start := 0; start < len(train); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(train) {
-				end = len(train)
-			}
-			batch := train[start:end]
-			if len(batch) == 1 || cfg.BatchSize == 1 {
-				// Per-sample stepping (the legacy path, and batch remainders).
-				si := batch[0]
-				opt.ZeroGrad()
-				pred, err := m.Forward(g, ad.Const(samples[si].C))
-				if err != nil {
-					return nil, fault.Wrap(fault.StageTraining, fault.ErrModelEval, err, "sample %d", si)
-				}
-				loss := ad.MSE(pred, ad.Const(targets[si]))
-				sum += loss.Value.Data[0]
-				if err := ad.Backward(loss); err != nil {
-					return nil, fault.Wrap(fault.StageTraining, fault.ErrModelEval, err, "sample %d", si)
-				}
-				opt.Step()
-				continue
-			}
-
-			// Parallel per-sample gradients, reduced in sample order.
-			for _, c := range clones {
-				c.CopyWeightsFrom(m)
-			}
-			losses := make([]float64, len(batch))
-			grads := make([][]float64, len(batch))
-			if err := parallel.ForEach(ctx, cfg.Workers, len(batch), func(k int) error {
-				ci := <-cloneIdx
-				defer func() { cloneIdx <- ci }()
-				l, gv, err := sampleGrad(ci, batch[k])
-				if err != nil {
-					return fault.Wrap(fault.StageTraining, fault.ErrModelEval, err, "sample %d", batch[k])
-				}
-				losses[k] = l
-				grads[k] = gv
-				return nil
-			}); err != nil {
+			batch := train[start:min(start+cfg.BatchSize, len(train))]
+			if err := pass(batch, true); err != nil {
 				return nil, err
 			}
-			opt.ZeroGrad()
+			// Average the batch's gradients, summed in sample order.
 			scale := 1 / float64(len(batch))
 			pos := 0
 			for _, p := range params {
@@ -260,7 +256,7 @@ func (m *Model) Fit(ctx context.Context, g *hetgraph.Graph, samples []Sample, cf
 				}
 				for j := range buf.Data {
 					s := 0.0
-					for k := range grads {
+					for k := range batch {
 						s += grads[k][pos+j]
 					}
 					buf.Data[j] = s * scale
@@ -269,7 +265,7 @@ func (m *Model) Fit(ctx context.Context, g *hetgraph.Graph, samples []Sample, cf
 				pos += p.Value.Len()
 			}
 			opt.Step()
-			for _, l := range losses {
+			for _, l := range losses[:len(batch)] {
 				sum += l
 			}
 		}
@@ -280,23 +276,14 @@ func (m *Model) Fit(ctx context.Context, g *hetgraph.Graph, samples []Sample, cf
 		}
 		rep.TrainLoss = append(rep.TrainLoss, avg)
 
-		// Validation forwards never call Backward, so they can share the live
-		// model across goroutines (parameter tensors are only read).
-		vLosses, err := parallel.Map(ctx, cfg.Workers, len(val), func(k int) (float64, error) {
-			pred, err := m.Forward(g, ad.Const(samples[val[k]].C))
-			if err != nil {
-				return 0, err
-			}
-			return ad.MSE(pred, ad.Const(targets[val[k]])).Value.Data[0], nil
-		})
-		if err != nil {
+		if err := pass(val, false); err != nil {
 			return nil, err
 		}
 		vSum := 0.0
-		for _, l := range vLosses {
+		for _, l := range losses[:nVal] {
 			vSum += l
 		}
-		vAvg := vSum / float64(len(val))
+		vAvg := vSum / float64(nVal)
 		if math.IsNaN(vAvg) || math.IsInf(vAvg, 0) {
 			return nil, fault.New(fault.StageTraining, fault.ErrDiverged,
 				"gnn3d: validation loss %g at epoch %d", vAvg, ep)

@@ -60,13 +60,14 @@ func (l *Linear) Forward(x *ad.Var) *ad.Var {
 // Params returns the trainable parameters.
 func (l *Linear) Params() []*ad.Var { return []*ad.Var{l.W, l.B} }
 
-// Frozen returns an inference view of the layer: the same weight tensors
-// wrapped as non-differentiable constants. Backward passes through a frozen
-// view skip the parameters entirely, so any number of concurrent inference
-// sessions can share one set of trained weights without racing on gradient
-// accumulators — the reason relax no longer clones whole models per worker.
-func (l *Linear) Frozen() *Linear {
-	return &Linear{W: ad.Const(l.W.Value), B: ad.Const(l.B.Value)}
+// View returns the layer with each weight tensor rewrapped by leaf: the
+// tensors are shared, the graph nodes are not. ad.Const gives a frozen
+// inference view whose backward passes skip the weights, so any number of
+// concurrent sessions can read one set of trained weights; a tape's Leaf
+// with requiresGrad gives a training view whose gradients accumulate on that
+// tape's leaves instead of on l's.
+func (l *Linear) View(leaf func(*tensor.Tensor) *ad.Var) *Linear {
+	return &Linear{W: leaf(l.W.Value), B: leaf(l.B.Value)}
 }
 
 // MLP is a stack of Linear layers with a shared hidden activation; the final
@@ -102,14 +103,13 @@ func (m *MLP) Forward(x *ad.Var) *ad.Var {
 	return x
 }
 
-// Frozen returns an inference view of the MLP sharing the trained weight
-// tensors through non-differentiable constants (see Linear.Frozen).
-func (m *MLP) Frozen() *MLP {
-	f := &MLP{Act: m.Act, OutAct: m.OutAct}
+// View returns the MLP with every layer rewrapped by leaf (see Linear.View).
+func (m *MLP) View(leaf func(*tensor.Tensor) *ad.Var) *MLP {
+	v := &MLP{Act: m.Act, OutAct: m.OutAct}
 	for _, l := range m.Layers {
-		f.Layers = append(f.Layers, l.Frozen())
+		v.Layers = append(v.Layers, l.View(leaf))
 	}
-	return f
+	return v
 }
 
 // Params returns all trainable parameters.

@@ -56,7 +56,8 @@ make cluster-chaos
 echo "== fuzz smoke (10s per target) =="
 # Short native-fuzz budgets: enough to catch a freshly introduced panic or
 # untyped error on the input-facing surfaces (netlist builder, tensor
-# constructors, inbound traceparent, the prober's /metrics decoder), a matmul
+# constructors, inbound traceparent, the prober's /metrics decoder, the 3DGNN
+# checkpoint decoder), a matmul
 # kernel whose bits drift from the naive reference loops, or an A* open list
 # whose pop order drifts from the swapping reference heap, cheap enough to
 # run every time.
@@ -64,13 +65,14 @@ make fuzz-smoke
 
 echo "== benchmark smoke (router and model hot paths compile and run) =="
 # One iteration of the routing benchmarks, uniform and guided, the matmul
-# kernels at the served PP-edge shape, and the model's session cycle at the
-# golden and served sizes: catches benchmarks that rot (compile errors,
-# panics) without paying for a real measurement run.
+# kernels at the served PP-edge shape, the model's session cycle at the
+# golden and served sizes, and training on the tape and on the transient
+# oracle: catches benchmarks that rot (compile errors, panics) without paying
+# for a real measurement run.
 go test -run=NONE -bench=RouteOTA1 -benchtime=1x .
 go test -run=NONE -bench='BenchmarkAstarCore|BenchmarkRouteNegotiation$|BenchmarkRouteNegotiationGuided$' -benchtime=1x ./internal/route/
 go test -run=NONE -bench='BenchmarkMatMulKernels' -benchtime=1x ./internal/tensor/
-go test -run=NONE -bench='BenchmarkModelCore' -benchtime=1x ./internal/gnn3d/
+go test -run=NONE -bench='BenchmarkModelCore|BenchmarkFit' -benchtime=1x ./internal/gnn3d/
 
 echo "== layered benchmark module tests =="
 # bench/ is a Go module of its own (it replaces analogfold with ../), so the
