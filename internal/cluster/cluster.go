@@ -23,10 +23,15 @@
 //     hedge is launched at the next candidate. First success wins and
 //     cancels every other in-flight attempt via context; a request is never
 //     answered twice.
-//  5. Local degradation. When every replica has failed, the coordinator
-//     answers from an embedded nil-model serve.Server — the elite→uniform→
-//     MagicalRoute ladder of PR 2 — so a full replica outage degrades the
-//     answer instead of erroring it.
+//  5. Local degradation. When every replica has failed (a 503 shed on the
+//     last rung is passed through instead), the coordinator answers from an
+//     embedded nil-model serve.Server — the elite→uniform→MagicalRoute
+//     ladder of PR 2 — so a full replica outage degrades the answer instead
+//     of erroring it.
+//
+// Dataset shard leases (datagen.go) run down the same ladder through the
+// same race and HTTP attempt; only the hedge budget, the hedge cap and the
+// accept rule differ.
 //
 // Because replicas are bit-deterministic (a served body is pinned to the CLI
 // artifact), any healthy replica returns the same bytes for a given request;
@@ -256,6 +261,11 @@ type attemptResult struct {
 	err    error
 	hedged bool
 	dur    time.Duration // round trip of this attempt (proxy-overhead attribution)
+
+	// Dataset leases only: the decoded, verified shard, and whether the
+	// replica answered bytes that failed verification.
+	sr      *dataset.ShardResult
+	corrupt bool
 }
 
 // retryable reports whether the ladder should move on: transport errors,
@@ -265,72 +275,71 @@ func retryable(res *attemptResult) bool {
 	return res.err != nil || res.status >= http.StatusInternalServerError
 }
 
-// maxResponseBytes bounds a proxied body (guidance sets are ~100KB; 8MB is
-// generous headroom, not a DoS surface).
+// maxResponseBytes bounds a replica's answer body (guidance sets are ~100KB;
+// 8MB is generous headroom, not a DoS surface).
 const maxResponseBytes = 8 << 20
 
-// attempt proxies one request to one replica and reports the outcome. It
-// always sends exactly one result, and the results channel is buffered to
-// the candidate count, so attempt goroutines can never block or leak past
-// the request. Each attempt — winner, hedged loser, failover retry — is a
-// span of its own under the request's cluster.proxy span; the outbound
-// traceparent carries the attempt span's identity, so replica-side spans
-// merge into the coordinator trace as children of the exact attempt that
-// triggered them.
-func (c *Coordinator) attempt(ctx context.Context, rep *replica, path string, body []byte, reqID string, hedged bool, out chan<- *attemptResult) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-	defer cancel()
-	actx, span := obs.StartSpan(actx, "cluster.attempt")
-	span.Arg("replica", rep.url).Arg("hedged", hedged)
-	defer span.End()
+// post is one HTTP attempt at one replica, for both the proxy path and
+// dataset leases: it POSTs body to rep's path and reads the answer. Each
+// attempt — winner, hedged loser, failover retry — is a span of its own
+// (named by the caller, args are extra span key/value pairs) under the
+// request's span; the outbound request carries the request ID and the
+// attempt span's traceparent, so replica-side spans merge into the
+// coordinator trace as children of the exact attempt that triggered them.
+// Transport and read errors grade the replica down and a 5xx counts as a
+// failure, except for a loser canceled because a sibling won: that said
+// nothing about its replica. Success bookkeeping is the caller's, since what
+// counts as a good answer differs per endpoint.
+func (c *Coordinator) post(ctx context.Context, span string, rep *replica, path string, body []byte, hedged bool, args ...any) *attemptResult {
+	ctx, sp := obs.StartSpan(ctx, span)
+	sp.Arg("replica", rep.url).Arg("hedged", hedged)
+	for i := 0; i+1 < len(args); i += 2 {
+		key, _ := args[i].(string)
+		sp.Arg(key, args[i+1])
+	}
+	defer sp.End()
 	rep.requests.Add(1)
 	if hedged {
 		rep.hedges.Add(1)
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, rep.url+path, bytes.NewReader(body))
+	res := &attemptResult{rep: rep, hedged: hedged}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+path, bytes.NewReader(body))
 	if err != nil {
-		out <- &attemptResult{rep: rep, err: err, hedged: hedged}
-		return
+		res.err = err
+		return res
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serve.HeaderRequestID, reqID)
-	obs.InjectTraceparent(actx, req.Header)
+	if rid := obs.RequestID(ctx); rid != "" {
+		req.Header.Set(serve.HeaderRequestID, rid)
+	}
+	obs.InjectTraceparent(ctx, req.Header)
 	start := time.Now()
 	resp, err := c.client.Do(req)
-	if err != nil {
-		// A loser canceled because a sibling won must not poison the
-		// replica's health record — it said nothing about this replica.
-		if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-			out <- &attemptResult{rep: rep, err: context.Canceled, hedged: hedged}
-			return
-		}
-		rep.markFailure(true)
-		out <- &attemptResult{rep: rep, err: err, hedged: hedged}
-		return
+	var b []byte
+	if err == nil {
+		// A connection that dies mid-body fails over like a transport error:
+		// the client must never see a truncated answer.
+		b, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+		resp.Body.Close()
 	}
-	b, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	resp.Body.Close()
-	if rerr != nil {
-		// Connection died mid-body: the client must never see this — fail
-		// over instead of forwarding a truncated answer.
-		if !(ctx.Err() != nil && errors.Is(rerr, context.Canceled)) {
+	if err != nil {
+		if !(ctx.Err() != nil && errors.Is(err, context.Canceled)) {
 			rep.markFailure(true)
 		}
-		out <- &attemptResult{rep: rep, err: rerr, hedged: hedged}
-		return
+		res.err = err
+		return res
 	}
 	// The body is fully read, so any announced trailers are in. Merging here
-	// — not at the winner-selection point — is what lands hedged losers' and
-	// failed-over attempts' replica-side spans in the coordinator trace too.
+	// — not at the winner-selection point — is what lands hedged losers',
+	// failed-over attempts' and forfeited leases' replica-side spans in the
+	// coordinator trace too.
 	c.importTrailerSpans(resp.Trailer.Get(serve.TrailerSpans), resp.Trailer.Get(serve.TrailerClock), rep.url)
 	if resp.StatusCode >= http.StatusInternalServerError {
 		rep.markFailure(false)
-	} else {
-		rep.markSuccess()
-		c.lat.Observe(time.Since(start))
 	}
-	span.Arg("status", resp.StatusCode)
-	out <- &attemptResult{rep: rep, status: resp.StatusCode, header: resp.Header, body: b, hedged: hedged, dur: time.Since(start)}
+	sp.Arg("status", resp.StatusCode)
+	res.status, res.header, res.body, res.dur = resp.StatusCode, resp.Header, b, time.Since(start)
+	return res
 }
 
 // importTrailerSpans merges one replica response's exported span summaries
@@ -353,8 +362,9 @@ func (c *Coordinator) importTrailerSpans(spans, clock, proc string) {
 	c.cfg.Telemetry.ImportSpans(sums, proc, offsetUS)
 }
 
-// raceStats is one request's failover/hedge accounting.
+// raceStats is one race's launch accounting.
 type raceStats struct {
+	launches  int64 // every attempt started, hedges included
 	failovers int64
 	hedges    int64
 }
@@ -410,12 +420,20 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// raceReplicas runs the request down its candidate ladder: sequential
-// failover on retryable outcomes, at most MaxHedges hedged launches after
-// the hedge budget, first acceptable answer wins and cancels the rest. It
-// returns the winning (or final failing) result; nil only when canceled
-// before any attempt concluded.
-func (c *Coordinator) raceReplicas(ctx context.Context, cands []*replica, path string, body []byte, reqID string, key uint64) (*attemptResult, raceStats) {
+// race runs one request down its failover ladder; it is the one replica
+// race behind both the proxy path and dataset shard leases. try makes one
+// attempt. A result accept rejects fails over to the next candidate after a
+// decorrelated backoff; each time hedgeDelay elapses a hedge launches at the
+// next candidate, at most maxHedges in all. The first accepted result wins
+// and cancels every other in-flight attempt. accept sees every result the
+// race receives, in arrival order, so callers count rejections there. The
+// results channel is buffered to the ladder, so attempts can never block or
+// leak past the race. race returns the winner, else the last rejected result
+// — nil only for an empty ladder.
+func (c *Coordinator) race(ctx context.Context, cands []*replica, key uint64,
+	hedgeDelay func() time.Duration, maxHedges int,
+	try func(ctx context.Context, rep *replica, hedged bool) *attemptResult,
+	accept func(*attemptResult) bool) (*attemptResult, raceStats) {
 	var stats raceStats
 	if len(cands) == 0 {
 		return nil, stats
@@ -428,22 +446,23 @@ func (c *Coordinator) raceReplicas(ctx context.Context, cands []*replica, path s
 		rep := cands[next]
 		next++
 		inflight++
-		go c.attempt(rctx, rep, path, body, reqID, hedged, results)
+		stats.launches++
+		go func() { results <- try(rctx, rep, hedged) }()
 	}
 	launch(false)
-	hedge := time.NewTimer(c.hedgeDelay())
+	hedge := time.NewTimer(hedgeDelay())
 	defer hedge.Stop()
 	var last *attemptResult
 	for {
 		select {
 		case res := <-results:
 			inflight--
-			if !retryable(res) {
+			if accept(res) {
 				return res, stats
 			}
 			last = res
 			if errors.Is(res.err, context.Canceled) && ctx.Err() != nil {
-				// The client went away; nothing left to win.
+				// The caller went away; nothing left to win.
 				return last, stats
 			}
 			if next < len(cands) {
@@ -456,12 +475,13 @@ func (c *Coordinator) raceReplicas(ctx context.Context, cands []*replica, path s
 				return last, stats
 			}
 		case <-hedge.C:
-			if next < len(cands) && stats.hedges < int64(c.cfg.MaxHedges) {
+			if next < len(cands) && stats.hedges < int64(maxHedges) {
+				// The slow attempt keeps running; the next candidate starts on
+				// the same work. Re-arm: a further budget elapsing may launch
+				// the next hedge.
 				stats.hedges++
 				launch(true)
-				// Re-arm: a further budget elapsing may launch the next hedge
-				// (bounded by MaxHedges and the candidate ladder).
-				hedge.Reset(c.hedgeDelay())
+				hedge.Reset(hedgeDelay())
 			}
 		case <-rctx.Done():
 			if last == nil {
@@ -574,15 +594,36 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Each proxied attempt gets AttemptTimeout. Any answer below 500 is good
+	// evidence of the replica's health and feeds the adaptive hedge budget.
+	try := func(ctx context.Context, rep *replica, hedged bool) *attemptResult {
+		ctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+		defer cancel()
+		res := c.post(ctx, "cluster.attempt", rep, r.URL.Path, body, hedged)
+		if res.err == nil && res.status < http.StatusInternalServerError {
+			rep.markSuccess()
+			c.lat.Observe(res.dur)
+		}
+		return res
+	}
 	key := Digest(breq.Bench)
-	res, stats := c.raceReplicas(ctx, c.candidates(key), r.URL.Path, body, reqID, key)
+	res, stats := c.race(ctx, c.candidates(key), key, c.hedgeDelay, c.cfg.MaxHedges, try,
+		func(res *attemptResult) bool { return !retryable(res) })
 	c.met.failovers.Add(stats.failovers)
 	c.met.hedges.Add(stats.hedges)
-	if res != nil && res.err == nil && !retryable(res) {
-		if res.hedged {
-			c.met.hedgeWins.Add(1)
+	// A replica's final answer (2xx, 4xx) is forwarded verbatim. So is a
+	// deliberate shed as the ladder's last word: cluster-wide backpressure is
+	// not an outage, so the 503 and its hash-jittered Retry-After pass through
+	// instead of the overload landing on the coordinator's own CPU.
+	if res != nil && res.err == nil && (!retryable(res) || res.status == http.StatusServiceUnavailable) {
+		if res.status == http.StatusServiceUnavailable {
+			span.Arg("outcome", "shed")
+		} else {
+			c.met.proxied.Add(1)
+			if res.hedged {
+				c.met.hedgeWins.Add(1)
+			}
 		}
-		c.met.proxied.Add(1)
 		span.Arg("replica", res.rep.url)
 		copyHeader(sw.Header(), res.header, "Content-Type")
 		copyHeader(sw.Header(), res.header, "Retry-After")
@@ -598,24 +639,9 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Cluster-wide backpressure is not an outage: when the ladder's final
-	// answer is a deliberate shed from a live replica, honor it — pass the
-	// 503 and its hash-jittered Retry-After through verbatim instead of
-	// absorbing the overload onto the coordinator's own CPU.
-	if res != nil && res.err == nil && res.status == http.StatusServiceUnavailable {
-		span.Arg("replica", res.rep.url).Arg("outcome", "shed")
-		copyHeader(sw.Header(), res.header, "Content-Type")
-		copyHeader(sw.Header(), res.header, "Retry-After")
-		copyHeader(sw.Header(), res.header, serve.HeaderCache)
-		sw.Header().Set(HeaderReplica, res.rep.url)
-		finishTiming(res)
-		sw.WriteHeader(res.status)
-		sw.Write(res.body)
-		return
-	}
-
-	// Every replica attempt failed (or none exist): the last rung is the
-	// embedded nil-model ladder — degrade the answer rather than error it.
+	// Every replica attempt failed — transport errors, timeouts, or a 5xx
+	// other than a shed on the last rung — or none exist: the last rung is
+	// the embedded nil-model ladder — degrade the answer rather than error it.
 	if c.local != nil {
 		c.met.localFallback.Add(1)
 		c.logw(ctx, "all replicas failed; serving from local degradation ladder",

@@ -586,3 +586,45 @@ func TestProbeGradesReplicaHealth(t *testing.T) {
 		}
 	}
 }
+
+// TestProxy4xxIsFinal pins the proxy path's accept rule: a replica's client
+// error is the client's answer, forwarded verbatim with no failover, and it
+// says nothing against the replica's health.
+func TestProxy4xxIsFinal(t *testing.T) {
+	const refusal = `{"error":{"kind":"invalid input","msg":"unknown bench"}}`
+	bad := newStubReplica(t, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		w.Write([]byte(refusal))
+	})
+	other := newStubReplica(t, okBody(`{"rung":"elite"}`))
+	c := newTestCoordinator(t, Config{Replicas: []string{bad.ts.URL, other.ts.URL}})
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	badRep := c.replicas[0]
+	bench := benchWithFirstChoice(t, c, badRep)
+	resp, body := postJSON(t, ts.URL+"/v1/route", `{"bench":"`+bench+`"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want the replica's 400 forwarded: %s", resp.StatusCode, body)
+	}
+	if string(body) != refusal {
+		t.Errorf("400 body rewritten: %s", body)
+	}
+	if got := resp.Header.Get(HeaderReplica); got != bad.ts.URL {
+		t.Errorf("replica header = %q, want %q", got, bad.ts.URL)
+	}
+	if bad.hits.Load() != 1 || other.hits.Load() != 0 {
+		t.Errorf("hits first/other = %d/%d, want 1/0 (no failover on 4xx)", bad.hits.Load(), other.hits.Load())
+	}
+	m := &c.met
+	if m.failovers.Load() != 0 {
+		t.Errorf("failovers = %d, want 0", m.failovers.Load())
+	}
+	if st := badRep.getState(); st != stateUp || badRep.failures.Load() != 0 {
+		t.Errorf("replica after 400: state=%s failures=%d, want up/0", st, badRep.failures.Load())
+	}
+	if m.answered.Load() != 1 || m.proxied.Load() != 1 || m.shed.Load() != 0 {
+		t.Errorf("answered=%d proxied=%d shed=%d, want 1/1/0", m.answered.Load(), m.proxied.Load(), m.shed.Load())
+	}
+}

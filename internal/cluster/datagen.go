@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,8 +23,9 @@ import (
 // crash-safe manifest. A lease is forfeited three ways — the replica dies
 // (transport error or the health prober grades it down mid-lease), stalls
 // past LeaseTTL, or returns bytes whose digest doesn't verify — and the shard
-// is re-dispatched down the same rendezvous failover ladder the proxy path
-// uses. Because every shard is a pure function of its spec, re-dispatch and
+// is re-dispatched down its rendezvous failover ladder by the same race (and
+// the same HTTP attempt) the proxy path runs; only the lease policy differs.
+// Because every shard is a pure function of its spec, re-dispatch and
 // even double-execution are harmless: the digest check makes results
 // interchangeable, so no sample can be lost or duplicated. The accounting
 // invariant, chaos-asserted at quiescence, is
@@ -48,16 +48,6 @@ type DatasetRequest struct {
 	IncludeUniform bool    `json:"include_uniform"`
 }
 
-// shardAttempt is one lease attempt's outcome.
-type shardAttempt struct {
-	rep     *replica
-	sr      *dataset.ShardResult
-	err     error
-	hedged  bool
-	expired bool // lease TTL elapsed or heartbeat graded the holder down
-	corrupt bool // replica answered, but the bytes failed digest verification
-}
-
 // heartbeatTick is how often a lease watcher re-reads its holder's prober
 // state; capped low so chaos tests with fast probers see expiry promptly.
 func (c *Coordinator) heartbeatTick() time.Duration {
@@ -71,12 +61,17 @@ func (c *Coordinator) heartbeatTick() time.Duration {
 	return d
 }
 
-// attemptShard leases one shard to one replica: POST the spec, await the
-// labeled bytes within LeaseTTL, verify the digest. The lease context is
-// additionally canceled the moment the health prober grades the holder down —
-// the prober is the heartbeat, so a dead replica forfeits its lease at probe
-// granularity instead of stalling the job for the full TTL.
-func (c *Coordinator) attemptShard(ctx context.Context, rep *replica, body []byte, want dataset.ShardSpec, hedged bool, out chan<- *shardAttempt) {
+// leaseAttempt leases one shard to one replica: POST the spec, await the
+// labeled bytes within LeaseTTL, decode them and verify the spec and digest.
+// The lease context is additionally canceled the moment the health prober
+// grades the holder down — the prober is the heartbeat, so a dead replica
+// forfeits its lease at probe granularity instead of stalling the job for the
+// full TTL. The attempt carries the job's request ID, so a shard re-dispatched
+// after lease expiry still logs and traces under the ID the coordinator minted
+// when the job arrived. Only a verified shard counts as the replica's success;
+// shard labeling is minutes-scale batch work, so it never feeds the proxy
+// path's adaptive hedge budget.
+func (c *Coordinator) leaseAttempt(ctx context.Context, rep *replica, body []byte, want dataset.ShardSpec, hedged bool) *attemptResult {
 	lctx, cancel := context.WithTimeoutCause(ctx, c.cfg.LeaseTTL,
 		fault.New(fault.StageServe, fault.ErrLeaseExpired, "lease TTL %s elapsed", c.cfg.LeaseTTL))
 	defer cancel()
@@ -100,95 +95,41 @@ func (c *Coordinator) attemptShard(ctx context.Context, rep *replica, body []byt
 			}
 		}
 	}()
-	res := c.doShardRequest(wctx, rep, body, want, hedged)
+	res := c.post(wctx, "cluster.shard.attempt", rep, "/v1/dataset/shard", body, hedged, "shard", want.Index)
+	switch {
+	case res.err != nil:
+	case res.status != http.StatusOK:
+		res.err = fault.New(fault.StageServe, shardStatusKind(res.status),
+			"replica %s: shard %d: HTTP %d", rep.url, want.Index, res.status)
+	default:
+		// Trust nothing off the wire: the spec must be the one leased and the
+		// digest must verify. A corrupt answer is retryable — the next replica
+		// recomputes the identical bytes.
+		var sr dataset.ShardResult
+		if err := json.Unmarshal(res.body, &sr); err != nil {
+			res.err = fault.Wrap(fault.StageServe, fault.ErrShardCorrupt, err, "replica %s: shard %d", rep.url, want.Index)
+		} else if sr.Spec() != want {
+			res.err = fault.New(fault.StageServe, fault.ErrShardCorrupt,
+				"replica %s answered shard %v, leased %v", rep.url, sr.Spec(), want)
+		} else {
+			res.err = sr.Verify()
+		}
+		if res.err != nil {
+			res.corrupt = true
+			rep.markFailure(false)
+		} else {
+			rep.markSuccess()
+			res.sr = &sr
+		}
+	}
 	wcancel(nil)
 	<-watchDone
-	if res.err != nil {
-		// Attribute the failure: a cause planted by the TTL or the heartbeat
-		// watcher means the lease expired (as opposed to a crash or shed).
-		cause := context.Cause(wctx)
-		if cause != nil && errors.Is(cause, fault.ErrLeaseExpired) {
-			res.err = cause
-			res.expired = true
-		}
+	// Attribute a failure: a cause planted by the TTL or the heartbeat
+	// watcher means the lease expired (as opposed to a crash or shed).
+	if cause := context.Cause(wctx); res.err != nil && errors.Is(cause, fault.ErrLeaseExpired) {
+		res.err = cause
 	}
-	out <- res
-}
-
-// doShardRequest is the transport half of a lease attempt. Each attempt is a
-// span under the job's cluster.dataset span, and the outbound request carries
-// the job's request ID plus the attempt span's traceparent — so a shard
-// re-dispatched after lease expiry still logs and traces under the request ID
-// the coordinator minted when the job arrived.
-func (c *Coordinator) doShardRequest(ctx context.Context, rep *replica, body []byte, want dataset.ShardSpec, hedged bool) *shardAttempt {
-	ctx, span := obs.StartSpan(ctx, "cluster.shard.attempt")
-	span.Arg("replica", rep.url).Arg("shard", want.Index).Arg("hedged", hedged)
-	defer span.End()
-	rep.requests.Add(1)
-	if hedged {
-		rep.hedges.Add(1)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/v1/dataset/shard", bytes.NewReader(body))
-	if err != nil {
-		return &shardAttempt{rep: rep, err: err, hedged: hedged}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if rid := obs.RequestID(ctx); rid != "" {
-		req.Header.Set(serve.HeaderRequestID, rid)
-	}
-	obs.InjectTraceparent(ctx, req.Header)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		// A loser canceled because a sibling won must not poison the
-		// replica's health record — it said nothing about this replica.
-		if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-			return &shardAttempt{rep: rep, err: err, hedged: hedged}
-		}
-		rep.markFailure(true)
-		return &shardAttempt{rep: rep, err: err, hedged: hedged}
-	}
-	b, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	resp.Body.Close()
-	if rerr != nil {
-		if !(ctx.Err() != nil && errors.Is(rerr, context.Canceled)) {
-			rep.markFailure(true)
-		}
-		return &shardAttempt{rep: rep, err: rerr, hedged: hedged}
-	}
-	// Body fully read → trailers are in; merge the replica's span export so
-	// shard labeling shows up in the coordinator's merged trace even when the
-	// lease was later forfeited or lost a redispatch race.
-	c.importTrailerSpans(resp.Trailer.Get(serve.TrailerSpans), resp.Trailer.Get(serve.TrailerClock), rep.url)
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= http.StatusInternalServerError {
-			rep.markFailure(false)
-		}
-		return &shardAttempt{rep: rep, hedged: hedged, err: fault.New(fault.StageServe,
-			shardStatusKind(resp.StatusCode), "replica %s: shard %d: HTTP %d", rep.url, want.Index, resp.StatusCode)}
-	}
-	var sr dataset.ShardResult
-	if err := json.Unmarshal(b, &sr); err != nil {
-		rep.markFailure(false)
-		return &shardAttempt{rep: rep, hedged: hedged, corrupt: true,
-			err: fault.Wrap(fault.StageServe, fault.ErrShardCorrupt, err, "replica %s: shard %d", rep.url, want.Index)}
-	}
-	// Trust nothing off the wire: the spec must be the one leased and the
-	// digest must verify. A corrupt answer is retryable — the next replica
-	// recomputes the identical bytes.
-	if sr.Spec() != want {
-		rep.markFailure(false)
-		return &shardAttempt{rep: rep, hedged: hedged, corrupt: true,
-			err: fault.New(fault.StageServe, fault.ErrShardCorrupt,
-				"replica %s answered shard %v, leased %v", rep.url, sr.Spec(), want)}
-	}
-	if err := sr.Verify(); err != nil {
-		rep.markFailure(false)
-		return &shardAttempt{rep: rep, hedged: hedged, corrupt: true, err: err}
-	}
-	rep.markSuccess()
-	// Deliberately no c.lat.Observe here: shard labeling is minutes-scale
-	// batch work and would blow up the guidance path's adaptive hedge budget.
-	return &shardAttempt{rep: rep, sr: &sr, hedged: hedged}
+	return res
 }
 
 // shardStatusKind maps a replica's non-200 shard answer to a fault kind.
@@ -203,84 +144,38 @@ func shardStatusKind(status int) error {
 	}
 }
 
-// leaseShard drives one shard down its failover ladder: lease the best
-// candidate, re-dispatch on expiry/crash/corruption with the standard
-// decorrelated backoff, hedge once the shard has been in flight for half a
-// TTL, first verified result wins. When the ladder is exhausted the embedded
-// local server labels the shard itself — the cluster ladder's last rung —
-// and only with no local fallback does the job fail.
+// leaseShard drives one shard down its failover ladder through the race the
+// proxy path uses, with the lease policy: hedge once the shard has been in
+// flight for half a TTL (up to one hedge per rung), and accept only a
+// verified result. Expired and corrupt leases are counted as the race
+// receives them. When the ladder is exhausted the embedded local server
+// labels the shard itself — the cluster ladder's last rung — and only with
+// no local fallback does the job fail.
 func (c *Coordinator) leaseShard(ctx context.Context, shardKey uint64, body []byte, sp dataset.ShardSpec) (*dataset.ShardResult, error) {
 	cands := c.candidates(shardKey)
-	launches := 0
-	dispatch := func() {
-		c.met.dsDispatched.Add(1)
-		if launches > 0 {
-			c.met.dsRedispatched.Add(1)
-		}
-		launches++
-	}
-	var last *shardAttempt
-	if len(cands) > 0 {
-		rctx, cancel := context.WithCancel(ctx)
-		results := make(chan *shardAttempt, len(cands))
-		next, inflight := 0, 0
-		var failovers int64
-		launch := func(hedged bool) {
-			rep := cands[next]
-			next++
-			inflight++
-			dispatch()
-			go c.attemptShard(rctx, rep, body, sp, hedged, results)
-		}
-		launch(false)
-		hedge := time.NewTimer(c.cfg.LeaseTTL / 2)
-	race:
-		for {
-			select {
-			case res := <-results:
-				inflight--
-				if res.sr != nil {
-					cancel()
-					hedge.Stop()
-					c.met.dsCompleted.Add(1)
-					// Drain stragglers in the background: the channel is
-					// buffered to the ladder, so losers can always send.
-					return res.sr, nil
-				}
-				last = res
-				if res.expired {
-					c.met.dsExpired.Add(1)
-					c.logw(ctx, "shard lease expired", "shard", sp.Index, "replica", res.rep.url)
-				}
-				if res.corrupt {
-					c.met.dsCorrupt.Add(1)
-				}
-				if errors.Is(res.err, context.Canceled) && ctx.Err() != nil {
-					break race // the job itself was canceled
-				}
-				if next < len(cands) {
-					failovers++
-					if !sleepCtx(rctx, failoverBackoff(c.cfg.RetryBackoff, failovers, shardKey)) {
-						break race
-					}
-					launch(false)
-				} else if inflight == 0 {
-					break race
-				}
-			case <-hedge.C:
-				if next < len(cands) && int(failovers) < len(cands) {
-					// A hedge is a redispatch too: the slow holder keeps its
-					// lease, but the next candidate starts computing the same
-					// shard — first verified digest wins.
-					launch(true)
-					hedge.Reset(c.cfg.LeaseTTL / 2)
-				}
-			case <-rctx.Done():
-				break race
+	res, stats := c.race(ctx, cands, shardKey,
+		func() time.Duration { return c.cfg.LeaseTTL / 2 }, len(cands),
+		func(ctx context.Context, rep *replica, hedged bool) *attemptResult {
+			return c.leaseAttempt(ctx, rep, body, sp, hedged)
+		},
+		func(res *attemptResult) bool {
+			if res.sr != nil {
+				return true
 			}
-		}
-		cancel()
-		hedge.Stop()
+			if errors.Is(res.err, fault.ErrLeaseExpired) {
+				c.met.dsExpired.Add(1)
+				c.logw(ctx, "shard lease expired", "shard", sp.Index, "replica", res.rep.url)
+			}
+			if res.corrupt {
+				c.met.dsCorrupt.Add(1)
+			}
+			return false
+		})
+	c.met.dsDispatched.Add(stats.launches)
+	c.met.dsRedispatched.Add(max(stats.launches-1, 0))
+	if res != nil && res.sr != nil {
+		c.met.dsCompleted.Add(1)
+		return res.sr, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fault.FromContext(fault.StageServe, err)
@@ -292,7 +187,10 @@ func (c *Coordinator) leaseShard(ctx context.Context, shardKey uint64, body []by
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "shard request")
 		}
-		dispatch()
+		c.met.dsDispatched.Add(1)
+		if stats.launches > 0 {
+			c.met.dsRedispatched.Add(1)
+		}
 		c.met.dsLocal.Add(1)
 		sr, err := c.cfg.Local.GenerateShardLocal(ctx, req)
 		if err != nil {
@@ -302,11 +200,11 @@ func (c *Coordinator) leaseShard(ctx context.Context, shardKey uint64, body []by
 		return sr, nil
 	}
 	var cause error
-	if last != nil {
-		cause = last.err
+	if res != nil {
+		cause = res.err
 	}
 	return nil, fault.Wrap(fault.StageServe, fault.ErrExhausted, cause,
-		"shard %d [%d,%d): every replica failed (%d launches)", sp.Index, sp.Lo, sp.Hi, launches)
+		"shard %d [%d,%d): every replica failed (%d launches)", sp.Index, sp.Lo, sp.Hi, stats.launches)
 }
 
 // shardKeyFor decorrelates per-shard rendezvous keys from the job key, so a

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"analogfold/internal/core"
 	"analogfold/internal/dataset"
@@ -270,5 +271,107 @@ func TestDatasetCanceledClientIs499(t *testing.T) {
 	var eb serve.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Kind == "" {
 		t.Errorf("canceled dataset job body is not the typed error shape: %s", rec.Body)
+	}
+}
+
+// shardFront is a fake shard producer in front of nothing: always ready,
+// with /v1/dataset/shard delegated to fn after the body is drained (the
+// server only notices a canceled client once the body is consumed).
+func shardFront(t *testing.T, fn http.HandlerFunc) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(rw http.ResponseWriter, _ *http.Request) {
+		rw.WriteHeader(http.StatusOK)
+	})
+	mux.HandleFunc("/v1/dataset/shard", func(rw http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		fn(rw, r)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestDatasetShardHedgeWinsBeforeLeaseExpiry pins the lease path's hedge:
+// the shard's first rung stalls, and once the shard has been in flight for
+// LeaseTTL/2 a hedge leases it to the live replica, which answers before the
+// stalled lease expires. The hedge is a redispatch, not an expiry, and it is
+// counted on the replica, not in the proxy path's cluster_hedges_total.
+func TestDatasetShardHedgeWinsBeforeLeaseExpiry(t *testing.T) {
+	stall := shardFront(t, func(_ http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // hold the lease until the coordinator gives up
+	})
+	w := startWorker(t)
+	c := newTestCoordinator(t, Config{
+		Replicas: []string{stall.URL, w.ts.URL},
+		LeaseTTL: 8 * time.Second, // hedge at 4s, far above a 2-sample shard
+	})
+	bench := benchWithShardOnReplica(t, c, c.replicas[0])
+	want := referenceDatasetBytes(t, bench, 2, 19)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/dataset",
+		`{"bench":"`+bench+`","samples":2,"seed":19,"shard_size":2,"include_uniform":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 via the hedge: %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("dataset won by a shard hedge not byte-identical to the oracle")
+	}
+	m := &c.met
+	if m.dsDispatched.Load() != 2 || m.dsCompleted.Load() != 1 || m.dsRedispatched.Load() != 1 {
+		t.Errorf("dispatched/completed/redispatched = %d/%d/%d, want 2/1/1",
+			m.dsDispatched.Load(), m.dsCompleted.Load(), m.dsRedispatched.Load())
+	}
+	if m.dsExpired.Load() != 0 {
+		t.Errorf("expired = %d, want 0: the hedge must win before the lease expires", m.dsExpired.Load())
+	}
+	if got := c.replicas[0].hedges.Load(); got != 0 {
+		t.Errorf("stalled replica hedges = %d, want 0", got)
+	}
+	if got := c.replicas[1].hedges.Load(); got != 1 {
+		t.Errorf("live replica hedges = %d, want 1", got)
+	}
+	if got := m.hedges.Load(); got != 0 {
+		t.Errorf("cluster_hedges_total = %d, want 0: shard hedges are not proxy hedges", got)
+	}
+}
+
+// TestDatasetShard400FailsOver: unlike the proxy path, where a 4xx is the
+// client's final answer, a shard answered 400 moves on to the next rung —
+// the spec is the coordinator's own, so the next replica labels it — and the
+// corpus is still byte-identical. A 4xx is not charged to the replica.
+func TestDatasetShard400FailsOver(t *testing.T) {
+	var hits atomic.Int64
+	bad := shardFront(t, func(rw http.ResponseWriter, _ *http.Request) {
+		hits.Add(1)
+		http.Error(rw, `{"error":{"kind":"invalid input","msg":"refused"}}`, http.StatusBadRequest)
+	})
+	w := startWorker(t)
+	c := newTestCoordinator(t, Config{Replicas: []string{bad.URL, w.ts.URL}})
+	bench := benchWithShardOnReplica(t, c, c.replicas[0])
+	want := referenceDatasetBytes(t, bench, 2, 23)
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/dataset",
+		`{"bench":"`+bench+`","samples":2,"seed":23,"shard_size":2,"include_uniform":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 via failover: %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("dataset after a 400 shard answer not byte-identical to the oracle")
+	}
+	if hits.Load() != 1 || w.shardHits.Load() != 1 {
+		t.Errorf("shard requests bad/live = %d/%d, want 1/1", hits.Load(), w.shardHits.Load())
+	}
+	m := &c.met
+	if m.dsDispatched.Load() != 2 || m.dsCompleted.Load() != 1 || m.dsRedispatched.Load() != 1 {
+		t.Errorf("dispatched/completed/redispatched = %d/%d/%d, want 2/1/1",
+			m.dsDispatched.Load(), m.dsCompleted.Load(), m.dsRedispatched.Load())
+	}
+	if f, st := c.replicas[0].failures.Load(), c.replicas[0].getState(); f != 0 || st != stateUp {
+		t.Errorf("400 replica failures=%d state=%s, want 0/up", f, st)
 	}
 }

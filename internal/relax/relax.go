@@ -164,11 +164,13 @@ type RestartFailure struct {
 
 // Potential evaluates V(C) and ∂V/∂C for a guidance tensor on the model's
 // transient autodiff path: the reference Optimize's tape-backed evaluator
-// is pinned to, bit for bit.
+// is pinned to, bit for bit. It runs on the frozen view, so the backward
+// pass stops at C and never touches the model's weight gradients — concurrent
+// calls on one model are safe.
 func Potential(m *gnn3d.Model, g *hetgraph.Graph, cT *tensor.Tensor, cfg Config) (float64, *tensor.Tensor, error) {
 	cfg = cfg.withDefaults()
 	cv := ad.Leaf(cT, true)
-	pred, err := m.Forward(g, cv)
+	pred, err := m.Frozen().Forward(g, cv)
 	if err != nil {
 		return 0, nil, err
 	}

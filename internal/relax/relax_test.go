@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"analogfold/internal/gnn3d"
@@ -234,6 +236,70 @@ func TestOptimizeLeavesModelGradientsClean(t *testing.T) {
 		if p.Grad != nil {
 			t.Fatalf("param %d gradient written during relaxation", i)
 		}
+	}
+}
+
+// TestPotentialLeavesModelGradientsClean pins the oracle to the same
+// contract as Optimize: Potential differentiates w.r.t. C only, so every
+// weight gradient is bit-unchanged afterwards, and two goroutines may call
+// it on one model (make race runs this package).
+func TestPotentialLeavesModelGradientsClean(t *testing.T) {
+	c := netlist.OTA1()
+	g := buildGraph(t, c, 8)
+	m := gnn3d.New(gnn3d.Config{Seed: 8, Hidden: 16, Layers: 2, RBFBins: 8})
+	snapshot := func() [][]float64 {
+		var out [][]float64
+		for _, p := range m.Params() {
+			if p.Grad == nil {
+				out = append(out, nil)
+				continue
+			}
+			out = append(out, append([]float64(nil), p.Grad.Data...))
+		}
+		return out
+	}
+	before := snapshot()
+	n := len(c.Nets)
+	x := guidance.Sample(n, rand.New(rand.NewSource(4)), 2).Flat()
+	v, grad, err := Potential(m, g, tensor.FromSlice(append([]float64(nil), x...), n, 3), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := snapshot()
+	for i := range before {
+		if (before[i] == nil) != (after[i] == nil) {
+			t.Fatalf("param %d gradient allocated by Potential", i)
+		}
+		for j := range before[i] {
+			if math.Float64bits(before[i][j]) != math.Float64bits(after[i][j]) {
+				t.Fatalf("param %d grad[%d] changed by Potential: %g -> %g", i, j, before[i][j], after[i][j])
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				cv, cg, err := Potential(m, g, tensor.FromSlice(append([]float64(nil), x...), n, 3), Config{})
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if cv != v || !slices.Equal(cg.Data, grad.Data) {
+					errs <- "concurrent Potential differs from the serial call"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -155,35 +155,3 @@ func TestMaxLayerByTypeRespected(t *testing.T) {
 		}
 	}
 }
-
-func TestOrderStrategiesAllRoute(t *testing.T) {
-	c := netlist.OTA3()
-	g := buildGrid(t, c, 56)
-	gd := guidance.Uniform(len(c.Nets))
-	for _, strat := range []OrderStrategy{OrderCritical, OrderFewestPins, OrderLargestSpan} {
-		res, err := Route(g, gd, Config{Order: strat})
-		if err != nil {
-			t.Fatalf("strategy %d: %v", strat, err)
-		}
-		if res.WirelengthNm <= 0 {
-			t.Errorf("strategy %d produced empty routing", strat)
-		}
-	}
-}
-
-func TestOrderStrategiesDiffer(t *testing.T) {
-	c := netlist.OTA1()
-	g := buildGrid(t, c, 57)
-	gd := guidance.Uniform(len(c.Nets))
-	r1, err := Route(g, gd, Config{Order: OrderCritical})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Route(g, gd, Config{Order: OrderLargestSpan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.WirelengthNm == r2.WirelengthNm && r1.Vias == r2.Vias {
-		t.Logf("strategies happened to coincide on this seed (wl=%d)", r1.WirelengthNm)
-	}
-}

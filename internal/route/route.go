@@ -40,9 +40,6 @@ type Config struct {
 	SymDiscount    float64 // cost multiplier on mirror cells of the sym peer (default 0.65)
 	MinMult        float64 // floor for guidance multipliers, hence for A*'s per-axis bound, which holds except on SymDiscount mirror cells (default 0.3)
 
-	// Order selects the net-ordering strategy (default OrderCritical).
-	Order OrderStrategy
-
 	// MaxLayerByType restricts the highest routing layer per net type —
 	// the analog practice of keeping sensitive signals on lower, thinner
 	// metals and reserving thick top metals for supplies. A nil map (the
@@ -353,26 +350,10 @@ func wrapNetErr(err error, ni int) error {
 	return fault.Wrap(fault.StageRouting, fault.ErrRouteFailed, err, "").WithNet(ni)
 }
 
-// OrderStrategy selects how nets are sequenced each rip-up-and-reroute
-// iteration. Ordering matters: earlier nets grab the cheapest resources.
-type OrderStrategy int
-
-// Net ordering strategies.
-const (
-	// OrderCritical routes by analog criticality: inputs, signals, outputs,
-	// bias, then supplies — the ordering analog routers use so sensitive
-	// nets get first pick (the default).
-	OrderCritical OrderStrategy = iota
-	// OrderFewestPins routes small nets first (they have the least routing
-	// freedom).
-	OrderFewestPins
-	// OrderLargestSpan routes nets with the widest pin bounding boxes first
-	// (they cross the most territory).
-	OrderLargestSpan
-)
-
-// netOrder returns the net sequence for the configured strategy, always
-// keeping symmetric pairs adjacent so the mirror discount sees a fresh peer.
+// netOrder returns the per-iteration net sequence: analog criticality first
+// (inputs, signals, outputs, bias, then supplies — sensitive nets get first
+// pick of the cheapest resources), ties by net index, with symmetric pairs
+// kept adjacent so the mirror discount sees a fresh peer.
 func (r *Router) netOrder() []int {
 	c := r.g.Place.Circuit
 	rank := func(t netlist.NetType) int {
@@ -391,45 +372,9 @@ func (r *Router) netOrder() []int {
 			return 5
 		}
 	}
-	span := func(ni int) int {
-		minX, maxX, minY, maxY := 1<<30, -(1 << 30), 1<<30, -(1 << 30)
-		for _, id := range r.g.NetAPs[ni] {
-			p := r.g.APs[id].Pos
-			if p.X < minX {
-				minX = p.X
-			}
-			if p.X > maxX {
-				maxX = p.X
-			}
-			if p.Y < minY {
-				minY = p.Y
-			}
-			if p.Y > maxY {
-				maxY = p.Y
-			}
-		}
-		if maxX < minX {
-			return 0
-		}
-		return (maxX - minX) + (maxY - minY)
-	}
 	less := func(a, b int) bool {
-		switch r.cfg.Order {
-		case OrderFewestPins:
-			pa, pb := len(c.Nets[a].Pins), len(c.Nets[b].Pins)
-			if pa != pb {
-				return pa < pb
-			}
-		case OrderLargestSpan:
-			sa, sb := span(a), span(b)
-			if sa != sb {
-				return sa > sb
-			}
-		default:
-			ra, rb := rank(c.Nets[a].Type), rank(c.Nets[b].Type)
-			if ra != rb {
-				return ra < rb
-			}
+		if ra, rb := rank(c.Nets[a].Type), rank(c.Nets[b].Type); ra != rb {
+			return ra < rb
 		}
 		return a < b
 	}
