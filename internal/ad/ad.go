@@ -20,8 +20,12 @@ type Var struct {
 	Grad  *tensor.Tensor
 
 	requires bool
-	deps     []*Var
-	back     func(v *Var)
+	// stable marks a node whose value cannot change between tape replays:
+	// a non-differentiable constant leaf, or an op node whose inputs are all
+	// stable (see the constant-folding contract in tape.go).
+	stable bool
+	deps   []*Var
+	back   func(v *Var)
 
 	// gradLive marks Grad as accumulated since the last ZeroGrad; now that
 	// ZeroGrad keeps buffers, Grad != nil no longer implies a live gradient.
@@ -43,10 +47,12 @@ type Var struct {
 
 // Leaf creates a graph input. requiresGrad leaves accumulate gradients.
 func Leaf(t *tensor.Tensor, requiresGrad bool) *Var {
-	return &Var{Value: t, requires: requiresGrad, op: opLeaf}
+	return &Var{Value: t, requires: requiresGrad, stable: !requiresGrad, op: opLeaf}
 }
 
-// Const creates a non-differentiable graph input.
+// Const creates a non-differentiable graph input. A tape that records an op
+// reading it treats it as constant (see Tape.Const): its data must not
+// change while that tape replays.
 func Const(t *tensor.Tensor) *Var { return Leaf(t, false) }
 
 // RequiresGrad reports whether gradients flow into this node.
@@ -79,24 +85,58 @@ func (v *Var) SetGrad(g *tensor.Tensor) {
 	}
 }
 
-// accum adds g into v.Grad, allocating the buffer on first use and keeping
-// it afterwards. Tape-bound nodes lazily zero a stale buffer (one left over
-// from an earlier backward pass) instead of reallocating.
-func (v *Var) accum(g *tensor.Tensor) {
-	if !v.requires {
-		return
-	}
+// gradDst returns v's gradient buffer for one accumulation, allocating it
+// on first use and keeping it afterwards, and reports whether the
+// accumulation is the first into a cleared buffer: a new one, or for
+// tape-bound nodes one left stale by an earlier backward pass. A first
+// accumulation assigns 0 + x instead of zeroing the buffer and then adding,
+// one memory pass with the same bits (−0 + 0 = +0 either way).
+func (v *Var) gradDst() ([]float64, bool) {
+	first := false
 	if v.Grad == nil {
 		v.Grad = tensor.New(v.Value.Shape...)
+		first = true
 	} else if tp := v.tape; tp != nil && v.gradEp != tp.epoch {
-		v.Grad.Zero()
+		first = true
 	}
 	if tp := v.tape; tp != nil {
 		v.gradEp = tp.epoch
 	}
 	v.gradLive = true
+	return v.Grad.Data, first
+}
+
+// accum adds g into v.Grad.
+func (v *Var) accum(g *tensor.Tensor) {
+	if !v.requires {
+		return
+	}
+	dst, first := v.gradDst()
+	if first {
+		for i, x := range g.Data {
+			dst[i] = 0 + x
+		}
+		return
+	}
 	for i, x := range g.Data {
-		v.Grad.Data[i] += x
+		dst[i] += x
+	}
+}
+
+// accumMul adds the elementwise product g ⊙ o into v.Grad without
+// materializing it. Each product is rounded before the add (the float64
+// conversion blocks fused multiply-add contraction), so the bits match
+// accumulating a stored product tensor.
+func (v *Var) accumMul(g, o []float64) {
+	dst, first := v.gradDst()
+	if first {
+		for i, x := range g {
+			dst[i] = 0 + float64(x*o[i])
+		}
+		return
+	}
+	for i, x := range g {
+		dst[i] += float64(x * o[i])
 	}
 }
 
@@ -161,12 +201,15 @@ func sameShape(a, b *Var, op string) {
 // Add returns a + b (same shape).
 func Add(a, b *Var) *Var {
 	sameShape(a, b, "add")
-	out, fresh := obtain(opAdd, a, b, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opAdd, a, b, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	od, bd := out.Value.Data, b.Value.Data
 	for i, x := range a.Value.Data {
 		od[i] = x + bd[i]
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			a.accum(v.Grad)
 			b.accum(v.Grad)
@@ -178,12 +221,15 @@ func Add(a, b *Var) *Var {
 // Sub returns a - b.
 func Sub(a, b *Var) *Var {
 	sameShape(a, b, "sub")
-	out, fresh := obtain(opSub, a, b, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opSub, a, b, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	od, bd := out.Value.Data, b.Value.Data
 	for i, x := range a.Value.Data {
 		od[i] = x - bd[i]
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			a.accum(v.Grad)
 			if b.requires {
@@ -201,26 +247,21 @@ func Sub(a, b *Var) *Var {
 // Mul returns the elementwise product a ⊙ b.
 func Mul(a, b *Var) *Var {
 	sameShape(a, b, "mul")
-	out, fresh := obtain(opMul, a, b, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opMul, a, b, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	od, bd := out.Value.Data, b.Value.Data
 	for i, x := range a.Value.Data {
 		od[i] = x * bd[i]
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			if a.requires {
-				g := gradCopy(v, v.Grad)
-				for i := range g.Data {
-					g.Data[i] *= b.Value.Data[i]
-				}
-				a.accum(g)
+				a.accumMul(v.Grad.Data, b.Value.Data)
 			}
 			if b.requires {
-				g := gradCopy(v, v.Grad)
-				for i := range g.Data {
-					g.Data[i] *= a.Value.Data[i]
-				}
-				b.accum(g)
+				b.accumMul(v.Grad.Data, a.Value.Data)
 			}
 		}
 	}
@@ -229,12 +270,15 @@ func Mul(a, b *Var) *Var {
 
 // Scale returns a * k for a constant k.
 func Scale(a *Var, k float64) *Var {
-	out, fresh := obtain(opScale, a, nil, k, nil, nil, nil, -1, 0)
+	out, st := obtain(opScale, a, nil, k, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	od := out.Value.Data
 	for i, x := range a.Value.Data {
 		od[i] = x * k
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradCopy(v, v.Grad)
 			for i := range g.Data {
@@ -248,12 +292,15 @@ func Scale(a *Var, k float64) *Var {
 
 // AddConst returns a + k elementwise.
 func AddConst(a *Var, k float64) *Var {
-	out, fresh := obtain(opAddConst, a, nil, k, nil, nil, nil, -1, 0)
+	out, st := obtain(opAddConst, a, nil, k, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	od := out.Value.Data
 	for i, x := range a.Value.Data {
 		od[i] = x + k
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) { a.accum(v.Grad) }
 	}
 	return out
@@ -261,17 +308,20 @@ func AddConst(a *Var, k float64) *Var {
 
 // MatMul returns a @ b for 2-D vars.
 func MatMul(a, b *Var) *Var {
-	out, fresh := obtain(opMatMul, a, b, 0, nil, nil, nil, a.Value.Shape[0], b.Value.Shape[1])
+	out, st := obtain(opMatMul, a, b, 0, nil, nil, nil, a.Value.Shape[0], b.Value.Shape[1])
+	if st == folded {
+		return out
+	}
 	tensor.MatMulInto(out.Value, a.Value, b.Value)
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			if a.requires {
-				g := gradScratch(v, a.Value.Shape)
+				g := gradOverwrite(v, a.Value.Shape)
 				tensor.MatMulABTInto(g, v.Grad, b.Value)
 				a.accum(g)
 			}
 			if b.requires {
-				g := gradScratch(v, b.Value.Shape)
+				g := gradOverwrite(v, b.Value.Shape)
 				tensor.MatMulATBInto(g, a.Value, v.Grad)
 				b.accum(g)
 			}
@@ -287,14 +337,17 @@ func AddRow(a, row *Var) *Var {
 		panic(fmt.Sprintf("ad: addrow shape mismatch %v + %v", a.Value.Shape, row.Value.Shape))
 	}
 	n, d := a.Value.Shape[0], a.Value.Shape[1]
-	out, fresh := obtain(opAddRow, a, row, 0, nil, nil, nil, n, d)
+	out, st := obtain(opAddRow, a, row, 0, nil, nil, nil, n, d)
+	if st == folded {
+		return out
+	}
 	od, ad, rd := out.Value.Data, a.Value.Data, row.Value.Data
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {
 			od[i*d+j] = ad[i*d+j] + rd[j]
 		}
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			a.accum(v.Grad)
 			if row.requires {
@@ -313,14 +366,17 @@ func AddRow(a, row *Var) *Var {
 
 // ReLU applies max(0, x).
 func ReLU(a *Var) *Var {
-	out, fresh := obtain(opReLU, a, nil, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opReLU, a, nil, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	tensor.ApplyInto(out.Value, a.Value, func(x float64) float64 {
 		if x > 0 {
 			return x
 		}
 		return 0
 	})
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradCopy(v, v.Grad)
 			for i, x := range a.Value.Data {
@@ -337,9 +393,12 @@ func ReLU(a *Var) *Var {
 // SiLU applies x·sigmoid(x) (the smooth activation used by the message MLPs;
 // smoothness matters because relaxation differentiates through the network).
 func SiLU(a *Var) *Var {
-	out, fresh := obtain(opSiLU, a, nil, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opSiLU, a, nil, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	tensor.ApplyInto(out.Value, a.Value, func(x float64) float64 { return x * sigmoid(x) })
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradCopy(v, v.Grad)
 			for i, x := range a.Value.Data {
@@ -354,9 +413,12 @@ func SiLU(a *Var) *Var {
 
 // Tanh applies tanh elementwise.
 func Tanh(a *Var) *Var {
-	out, fresh := obtain(opTanh, a, nil, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opTanh, a, nil, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	tensor.ApplyInto(out.Value, a.Value, math.Tanh)
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradCopy(v, v.Grad)
 			for i := range g.Data {
@@ -373,9 +435,12 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Square returns x² elementwise.
 func Square(a *Var) *Var {
-	out, fresh := obtain(opSquare, a, nil, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opSquare, a, nil, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	tensor.ApplyInto(out.Value, a.Value, func(x float64) float64 { return x * x })
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradCopy(v, v.Grad)
 			for i, x := range a.Value.Data {
@@ -389,9 +454,12 @@ func Square(a *Var) *Var {
 
 // Sqrt returns √x elementwise, guarded at zero.
 func Sqrt(a *Var) *Var {
-	out, fresh := obtain(opSqrt, a, nil, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opSqrt, a, nil, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	tensor.ApplyInto(out.Value, a.Value, func(x float64) float64 { return math.Sqrt(math.Max(x, 0)) })
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradCopy(v, v.Grad)
 			for i := range g.Data {
@@ -409,9 +477,12 @@ func Sqrt(a *Var) *Var {
 
 // Exp returns e^x elementwise.
 func Exp(a *Var) *Var {
-	out, fresh := obtain(opExp, a, nil, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opExp, a, nil, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	tensor.ApplyInto(out.Value, a.Value, math.Exp)
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradCopy(v, v.Grad)
 			for i := range g.Data {
@@ -425,9 +496,12 @@ func Exp(a *Var) *Var {
 
 // Log returns ln(x) elementwise; inputs must be positive.
 func Log(a *Var) *Var {
-	out, fresh := obtain(opLog, a, nil, 0, nil, nil, nil, -1, 0)
+	out, st := obtain(opLog, a, nil, 0, nil, nil, nil, -1, 0)
+	if st == folded {
+		return out
+	}
 	tensor.ApplyInto(out.Value, a.Value, math.Log)
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradCopy(v, v.Grad)
 			for i, x := range a.Value.Data {
@@ -441,15 +515,18 @@ func Log(a *Var) *Var {
 
 // Sum reduces all elements to a 1×1 scalar.
 func Sum(a *Var) *Var {
-	out, fresh := obtain(opSum, a, nil, 0, nil, nil, nil, 1, 1)
+	out, st := obtain(opSum, a, nil, 0, nil, nil, nil, 1, 1)
+	if st == folded {
+		return out
+	}
 	s := 0.0
 	for _, x := range a.Value.Data {
 		s += x
 	}
 	out.Value.Data[0] = s
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
-			g := gradScratch(v, a.Value.Shape)
+			g := gradOverwrite(v, a.Value.Shape)
 			g.Fill(v.Grad.Data[0])
 			a.accum(g)
 		}
@@ -467,11 +544,14 @@ func Mean(a *Var) *Var {
 // stay unmodified while the graph (or its tape) is alive.
 func Gather(a *Var, idx []int) *Var {
 	d := a.Value.Shape[1]
-	out, fresh := obtain(opGather, a, nil, 0, idx, nil, nil, len(idx), d)
+	out, st := obtain(opGather, a, nil, 0, idx, nil, nil, len(idx), d)
+	if st == folded {
+		return out
+	}
 	for i, r := range idx {
 		copy(out.Value.Data[i*d:(i+1)*d], a.Value.Data[r*d:(r+1)*d])
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradScratch(v, a.Value.Shape)
 			for i, r := range idx {
@@ -489,16 +569,19 @@ func Gather(a *Var, idx []int) *Var {
 // idx slice must stay unmodified while the graph (or its tape) is alive.
 func ScatterAdd(a *Var, idx []int, numRows int) *Var {
 	d := a.Value.Shape[1]
-	out, fresh := obtain(opScatterAdd, a, nil, 0, idx, nil, nil, numRows, d)
+	out, st := obtain(opScatterAdd, a, nil, 0, idx, nil, nil, numRows, d)
+	if st == folded {
+		return out
+	}
 	out.Value.Zero()
 	for i, r := range idx {
 		for j := 0; j < d; j++ {
 			out.Value.Data[r*d+j] += a.Value.Data[i*d+j]
 		}
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
-			g := gradScratch(v, a.Value.Shape)
+			g := gradOverwrite(v, a.Value.Shape)
 			for i, r := range idx {
 				for j := 0; j < d; j++ {
 					g.Data[i*d+j] = v.Grad.Data[r*d+j]
@@ -520,7 +603,10 @@ func ConcatCols(vs ...*Var) *Var {
 		}
 		total += v.Value.Shape[1]
 	}
-	out, fresh := obtainN(opConcatCols, vs, n, total)
+	out, st := obtainN(opConcatCols, vs, n, total)
+	if st == folded {
+		return out
+	}
 	off := 0
 	for _, v := range vs {
 		d := v.Value.Shape[1]
@@ -529,14 +615,14 @@ func ConcatCols(vs ...*Var) *Var {
 		}
 		off += d
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		deps := out.deps
 		out.back = func(v *Var) {
 			off := 0
 			for _, dep := range deps {
 				d := dep.Value.Shape[1]
 				if dep.requires {
-					g := gradScratch(v, dep.Value.Shape)
+					g := gradOverwrite(v, dep.Value.Shape)
 					for i := 0; i < n; i++ {
 						copy(g.Data[i*d:(i+1)*d], v.Grad.Data[i*total+off:i*total+off+d])
 					}
@@ -554,11 +640,14 @@ func Cols(a *Var, j0, j1 int) *Var {
 	n, d := a.Value.Shape[0], a.Value.Shape[1]
 	w := j1 - j0
 	// j0 rides the metadata scalar so replay distinguishes column windows.
-	out, fresh := obtain(opCols, a, nil, float64(j0), nil, nil, nil, n, w)
+	out, st := obtain(opCols, a, nil, float64(j0), nil, nil, nil, n, w)
+	if st == folded {
+		return out
+	}
 	for i := 0; i < n; i++ {
 		copy(out.Value.Data[i*w:(i+1)*w], a.Value.Data[i*d+j0:i*d+j1])
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradScratch(v, a.Value.Shape)
 			for i := 0; i < n; i++ {
@@ -576,7 +665,10 @@ func Cols(a *Var, j0, j1 int) *Var {
 func RBF(a *Var, mus []float64, gamma float64) *Var {
 	n := a.Value.Shape[0]
 	k := len(mus)
-	out, fresh := obtain(opRBF, a, nil, gamma, nil, mus, nil, n, k)
+	out, st := obtain(opRBF, a, nil, gamma, nil, mus, nil, n, k)
+	if st == folded {
+		return out
+	}
 	for i := 0; i < n; i++ {
 		di := a.Value.Data[i]
 		for j, mu := range mus {
@@ -584,9 +676,9 @@ func RBF(a *Var, mus []float64, gamma float64) *Var {
 			out.Value.Data[i*k+j] = math.Exp(-gamma * diff * diff)
 		}
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
-			g := gradScratch(v, a.Value.Shape)
+			g := gradOverwrite(v, a.Value.Shape)
 			for i := 0; i < n; i++ {
 				di := a.Value.Data[i]
 				s := 0.0

@@ -13,18 +13,30 @@
 // kind, same dep pointers, same metadata) and, on a hit, reuses the recorded
 // Var — its value buffer, its deps slice and its backward closure (valid
 // because every pointer the closure captured is stable across a replay).
-// Forward kernels always execute, writing fresh values into the reused
-// buffers; only the bookkeeping is skipped. If a call diverges from the
-// recording (a different graph is being built), the stale suffix is dropped
-// and recording continues fresh from that point — the tape is an
-// optimization, never a semantic constraint.
+// If a call diverges from the recording (a different graph is being built),
+// the stale suffix is dropped and recording continues fresh from that point —
+// the tape is an optimization, never a semantic constraint.
+//
+// Constant folding: a node is stable when each of its inputs is a constant
+// leaf (Const, or a frozen weight wrapped by ad.Const) or another stable
+// node. A replay hit on a stable node skips its forward kernel, because its
+// buffer still holds the value computed when the node was recorded; every
+// other hit reruns its kernel into the reused buffer. This is sound only
+// because a constant's data does not change while a tape that recorded it
+// replays. Inputs that take new values between replays without requiring
+// gradients are bound with Input, which is never stable; requires-grad
+// leaves are never stable either.
 //
 // Backward passes are allocation-free too: the topological order is rebuilt
 // with epoch stamps instead of a visited map (into a tape-owned slice), the
 // per-op gradient intermediates come from a scratch-tensor pool that resets
-// every pass, and gradient accumulators are lazily zeroed by epoch instead
-// of being reallocated. The traversal is the exact recursive DFS of the
-// tapeless Backward, so gradient accumulation order — and therefore every
+// every pass, and gradient accumulators are lazily cleared by epoch instead
+// of being reallocated. Each buffer is written in one pass where it can be:
+// a scratch slot that the op assigns in full is handed out as-is, not
+// zeroed, and the first accumulation of a pass into a stale gradient assigns
+// 0 + g rather than zeroing and then adding (the same bits: −0 becomes +0
+// either way). The traversal is the exact recursive DFS of the tapeless
+// Backward, so gradient accumulation order — and therefore every
 // floating-point result — is bit-identical with the tape on or off.
 //
 // Concurrency: a Tape and every requires-grad Var on it belong to one
@@ -82,8 +94,8 @@ type Tape struct {
 	// order is the reusable topological-order buffer of backward.
 	order []*Var
 	// epoch identifies the current backward pass: gradient buffers stamped
-	// with an older epoch are stale and lazily zeroed on first accumulation.
-	// Epoch 0 is reserved as "never accumulated".
+	// with an older epoch are stale and overwritten by their first
+	// accumulation. Epoch 0 is reserved as "never accumulated".
 	epoch uint32
 
 	hits, misses uint64
@@ -93,36 +105,52 @@ type Tape struct {
 func NewTape() *Tape { return &Tape{} }
 
 // Reset rewinds the tape so the next computation replays the recording from
-// the start. Values and gradients of recorded nodes are left as-is; forward
-// kernels overwrite values, and backward lazily zeroes gradients by epoch.
+// the start. Values and gradients of recorded nodes are left as-is: forward
+// kernels overwrite the values that can change, stable nodes keep theirs,
+// and backward lazily clears gradients by epoch.
 func (tp *Tape) Reset() { tp.pos = 0 }
 
 // Leaf creates a graph input bound to the tape. requires-grad leaves must be
 // tape-bound when used in tape computations, so their gradient epoch tracking
 // follows the tape's backward passes; constant leaves are bound so ops on
-// pure-constant subgraphs replay instead of reallocating.
+// pure-constant subgraphs replay instead of reallocating. Leaf(t, false) is
+// Const.
 func (tp *Tape) Leaf(t *tensor.Tensor, requiresGrad bool) *Var {
-	return &Var{Value: t, requires: requiresGrad, op: opLeaf, tape: tp}
+	return &Var{Value: t, requires: requiresGrad, stable: !requiresGrad, op: opLeaf, tape: tp}
 }
 
-// Const creates a non-differentiable tape-bound input.
+// Const creates a non-differentiable tape-bound input whose data must not
+// change while the tape replays: ops that read only constants are folded,
+// computed when recorded and skipped on every replay hit after that. Bind an
+// input that takes new values between replays with Input instead.
 func (tp *Tape) Const(t *tensor.Tensor) *Var { return tp.Leaf(t, false) }
+
+// Input creates a non-differentiable tape-bound input whose data may change
+// between replays (a training sample, a target). It is never folded, so
+// every op that reads it reruns on each replay.
+func (tp *Tape) Input(t *tensor.Tensor) *Var {
+	return &Var{Value: t, op: opLeaf, tape: tp}
+}
 
 // Stats reports replay hits and misses since the tape was created — the
 // steady-state diagnostic: a warmed tape on a fixed topology should show
 // only hits.
 func (tp *Tape) Stats() (hits, misses uint64) { return tp.hits, tp.misses }
 
-// scratch returns a zeroed pooled tensor of the given shape for backward
-// intermediates. Slots are handed out in call order and recycled every
-// backward pass; since the pass replays identical back closures in an
-// identical order, slot shapes stabilize after the first pass.
-func (tp *Tape) scratch(shape []int) *tensor.Tensor {
+// scratch returns a pooled tensor of the given shape for backward
+// intermediates, zeroed when zero is set and otherwise holding whatever an
+// earlier pass left there (for callers that assign every element). Slots are
+// handed out in call order and recycled every backward pass; since the pass
+// replays identical back closures in an identical order, slot shapes
+// stabilize after the first pass.
+func (tp *Tape) scratch(shape []int, zero bool) *tensor.Tensor {
 	if tp.scrPos < len(tp.scr) {
 		t := tp.scr[tp.scrPos]
 		if shapeEq(t.Shape, shape) {
 			tp.scrPos++
-			t.Zero()
+			if zero {
+				t.Zero()
+			}
 			return t
 		}
 		t = tensor.New(shape...)
@@ -148,12 +176,21 @@ func shapeEq(a, b []int) bool {
 	return true
 }
 
-// gradScratch returns a zeroed gradient intermediate for v's backward: tape
-// nodes draw from the pass-scoped pool, tapeless nodes allocate (the legacy
-// behavior).
+// gradScratch returns a zeroed gradient intermediate for v's backward, for
+// kernels that accumulate into it: tape nodes draw from the pass-scoped pool,
+// tapeless nodes allocate (the legacy behavior).
 func gradScratch(v *Var, shape []int) *tensor.Tensor {
 	if tp := v.tape; tp != nil {
-		return tp.scratch(shape)
+		return tp.scratch(shape, true)
+	}
+	return tensor.New(shape...)
+}
+
+// gradOverwrite is gradScratch for kernels that assign every element: a
+// pooled slot is handed out without zeroing it first.
+func gradOverwrite(v *Var, shape []int) *tensor.Tensor {
+	if tp := v.tape; tp != nil {
+		return tp.scratch(shape, false)
 	}
 	return tensor.New(shape...)
 }
@@ -162,7 +199,7 @@ func gradScratch(v *Var, shape []int) *tensor.Tensor {
 // backward closure.
 func gradCopy(v *Var, src *tensor.Tensor) *tensor.Tensor {
 	if tp := v.tape; tp != nil {
-		t := tp.scratch(src.Shape)
+		t := tp.scratch(src.Shape, false)
 		copy(t.Data, src.Data)
 		return t
 	}
@@ -234,24 +271,39 @@ func sameFloatSlice(a, b []float64) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
+// replay is the outcome of matching one op application against the tape.
+type replay uint8
+
+const (
+	// recorded: a fresh node. The op runs its kernel and, if the node
+	// requires gradients, installs its backward closure.
+	recorded replay = iota
+	// replayed: a recorded node reused. The op reruns its kernel into the
+	// node's buffer.
+	replayed
+	// folded: a recorded stable node reused. Its buffer already holds its
+	// value, so the op returns it without running the kernel.
+	folded
+)
+
 // obtain returns the output node for one op application. With no tape in
 // sight it simply allocates (the legacy path). On a tape, the node recorded
 // at the cursor is reused when it matches the application — same op kind,
 // same dep pointers, same metadata, same output shape — keeping its value
 // buffer, deps slice and backward closure; a mismatch means the caller is
 // building a different computation, so the stale suffix is dropped and
-// recording resumes. The second result reports whether the node is fresh
-// (and thus needs its backward closure installed).
+// recording resumes. The second result tells the op what to run (see
+// replay).
 //
 // r,c give the output shape; r < 0 means "same shape as a" (elementwise).
 // k, im, fm and spec are op metadata (scalar constant, index slice, float
 // slice, fused spec) matched by value or by slice identity — index and
 // center slices are required to be stable across replays, which every
 // caller guarantees by construction.
-func obtain(op uint8, a, b *Var, k float64, im []int, fm []float64, spec *FusedRBF, r, c int) (*Var, bool) {
+func obtain(op uint8, a, b *Var, k float64, im []int, fm []float64, spec *FusedRBF, r, c int) (*Var, replay) {
 	tp := tapeOf(a, b)
 	if tp == nil {
-		return freshNode(nil, op, a, b, k, im, fm, spec, r, c), true
+		return freshNode(nil, op, a, b, k, im, fm, spec, r, c), recorded
 	}
 	if tp.pos < len(tp.nodes) {
 		n := tp.nodes[tp.pos]
@@ -259,17 +311,30 @@ func obtain(op uint8, a, b *Var, k float64, im []int, fm []float64, spec *FusedR
 			sameIntSlice(n.im, im) && sameFloatSlice(n.fm, fm) &&
 			depsMatch2(n.deps, a, b) &&
 			(r < 0 || (n.Value.Shape[0] == r && n.Value.Shape[1] == c)) {
-			tp.pos++
-			tp.hits++
-			return n, false
+			return tp.hit(n)
 		}
 		tp.nodes = tp.nodes[:tp.pos]
 	}
 	n := freshNode(tp, op, a, b, k, im, fm, spec, r, c)
+	tp.record(n)
+	return n, recorded
+}
+
+// hit advances the cursor past the matched node n.
+func (tp *Tape) hit(n *Var) (*Var, replay) {
+	tp.pos++
+	tp.hits++
+	if n.stable {
+		return n, folded
+	}
+	return n, replayed
+}
+
+// record appends the fresh node n at the cursor.
+func (tp *Tape) record(n *Var) {
 	tp.nodes = append(tp.nodes, n)
 	tp.pos++
 	tp.misses++
-	return n, true
 }
 
 func depsMatch2(deps []*Var, a, b *Var) bool {
@@ -290,6 +355,7 @@ func freshNode(tp *Tape, op uint8, a, b *Var, k float64, im []int, fm []float64,
 		Value: val, op: op, tape: tp,
 		k: k, im: im, fm: fm, fspec: spec,
 		requires: a.requires || (b != nil && b.requires),
+		stable:   a.stable && (b == nil || b.stable),
 	}
 	if b != nil {
 		n.deps = []*Var{a, b}
@@ -300,39 +366,32 @@ func freshNode(tp *Tape, op uint8, a, b *Var, k float64, im []int, fm []float64,
 }
 
 // obtainN is obtain for variadic-dependency ops (ConcatCols).
-func obtainN(op uint8, vs []*Var, r, c int) (*Var, bool) {
+func obtainN(op uint8, vs []*Var, r, c int) (*Var, replay) {
 	var tp *Tape
-	req := false
+	req, stable := false, true
 	for _, v := range vs {
 		if v.tape != nil && tp == nil {
 			tp = v.tape
 		}
-		if v.requires {
-			req = true
-		}
+		req = req || v.requires
+		stable = stable && v.stable
 	}
-	if tp != nil {
-		if tp.pos < len(tp.nodes) {
-			n := tp.nodes[tp.pos]
-			if n.op == op && depsMatchN(n.deps, vs) &&
-				n.Value.Shape[0] == r && n.Value.Shape[1] == c {
-				tp.pos++
-				tp.hits++
-				return n, false
-			}
-			tp.nodes = tp.nodes[:tp.pos]
+	if tp != nil && tp.pos < len(tp.nodes) {
+		n := tp.nodes[tp.pos]
+		if n.op == op && depsMatchN(n.deps, vs) &&
+			n.Value.Shape[0] == r && n.Value.Shape[1] == c {
+			return tp.hit(n)
 		}
+		tp.nodes = tp.nodes[:tp.pos]
 	}
 	n := &Var{
 		Value: tensor.New(r, c), op: op, tape: tp,
-		requires: req, deps: append([]*Var(nil), vs...),
+		requires: req, stable: stable, deps: append([]*Var(nil), vs...),
 	}
 	if tp != nil {
-		tp.nodes = append(tp.nodes, n)
-		tp.pos++
-		tp.misses++
+		tp.record(n)
 	}
-	return n, true
+	return n, recorded
 }
 
 func depsMatchN(deps, vs []*Var) bool {
@@ -377,7 +436,10 @@ type FusedRBF struct {
 // multiply-add contraction on architectures where Go emits it).
 func RBFDist(c *Var, spec *FusedRBF) *Var {
 	n, k := len(spec.Idx), len(spec.Mus)
-	out, fresh := obtain(opFusedRBF, c, nil, spec.Gamma, spec.Idx, spec.Mus, spec, n, k)
+	out, st := obtain(opFusedRBF, c, nil, spec.Gamma, spec.Idx, spec.Mus, spec, n, k)
+	if st == folded {
+		return out
+	}
 	gamma := spec.Gamma
 	cd := c.Value.Data
 	od := out.Value.Data
@@ -395,7 +457,7 @@ func RBFDist(c *Var, spec *FusedRBF) *Var {
 			od[i*k+j] = math.Exp(-gamma * diff * diff)
 		}
 	}
-	if fresh && out.requires {
+	if st == recorded && out.requires {
 		out.back = func(v *Var) {
 			g := gradScratch(v, c.Value.Shape)
 			vg := v.Grad.Data

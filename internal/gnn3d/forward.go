@@ -12,8 +12,9 @@ import (
 
 // constFn builds a non-differentiable graph input from a tensor. The
 // transient Forward path passes ad.Const (fresh nodes every call, the legacy
-// behavior); an InferSession passes its tape's Const so constant subgraphs
-// replay instead of reallocating.
+// behavior); an InferSession and Fit's workers pass their tape's Const, so
+// the graph constants replay instead of reallocating and the subgraphs that
+// read only constants are folded (see ad.Tape).
 type constFn func(*tensor.Tensor) *ad.Var
 
 // relEnv holds everything one edge relation needs to produce its Ψ(d_cost)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"analogfold/internal/gnn3d"
@@ -100,6 +101,39 @@ func goldenGraph(t testing.TB, c *netlist.Circuit, seed int64) (*hetgraph.Graph,
 	return hg, g
 }
 
+// goldenFixture is one benchmark's graph, routing grid and trained golden
+// model, built once per test binary. Every test that needs a benchmark's
+// fixture shares it: TestModelGoldenEquivalence, TestModelGoldenTapeAndWorkers
+// and the perf suite all read OTA1's. Tests only read a fixture — sessions
+// and Potential take frozen views, and Predict builds a transient graph
+// without a backward pass — so sharing it changes no number.
+type goldenFixture struct {
+	once sync.Once
+	hg   *hetgraph.Graph
+	gr   *grid.Grid
+	m    *gnn3d.Model
+}
+
+// goldenFixtures maps a benchmark's placement seed to its *goldenFixture
+// (each golden benchmark has its own seed).
+var goldenFixtures sync.Map
+
+// sharedGolden returns the fixture of circuit c placed and trained with
+// seed, building it on first use.
+func sharedGolden(t testing.TB, c *netlist.Circuit, seed int64) *goldenFixture {
+	t.Helper()
+	v, _ := goldenFixtures.LoadOrStore(seed, &goldenFixture{})
+	fx := v.(*goldenFixture)
+	fx.once.Do(func() {
+		hg, gr := goldenGraph(t, c, seed)
+		fx.hg, fx.gr, fx.m = hg, gr, goldenModel(t, hg, seed)
+	})
+	if fx.m == nil {
+		t.Fatalf("golden fixture for seed %d failed to build", seed)
+	}
+	return fx
+}
+
 // goldenModel fits a small model on a smooth synthetic objective (the same
 // fixture shape as the relax tests) so the potential landscape has structure.
 func goldenModel(t testing.TB, g *hetgraph.Graph, seed int64) *gnn3d.Model {
@@ -160,8 +194,8 @@ func sampledGuidance(n int, seed int64) *tensor.Tensor {
 // modelGoldenEntryFor runs the full pinned pipeline for one benchmark.
 func modelGoldenEntryFor(t testing.TB, name string, c *netlist.Circuit, seed int64, cfg relax.Config) modelGoldenEntry {
 	t.Helper()
-	hg, gr := goldenGraph(t, c, seed)
-	m := goldenModel(t, hg, seed)
+	fx := sharedGolden(t, c, seed)
+	hg, gr, m := fx.hg, fx.gr, fx.m
 	n := len(c.Nets)
 
 	var e modelGoldenEntry
@@ -229,8 +263,8 @@ func modelGoldenEntryFor(t testing.TB, name string, c *netlist.Circuit, seed int
 // tape-backed evaluator itself is pinned to the transient-path Potential by
 // relax's TestEvaluatorMatchesPotential.
 func TestModelGoldenTapeAndWorkers(t *testing.T) {
-	hg, _ := goldenGraph(t, netlist.OTA1(), 11)
-	m := goldenModel(t, hg, 11)
+	fx := sharedGolden(t, netlist.OTA1(), 11)
+	hg, m := fx.hg, fx.m
 
 	run := func(mut func(*relax.Config)) *relax.Result {
 		cfg := goldenRelaxConfig()
@@ -315,12 +349,26 @@ func modelGoldenBenchmarks() []struct {
 }
 
 // TestModelGoldenEquivalence asserts the inference stack reproduces the
-// pinned outputs of golden_model.json bit-for-bit on OTA1–OTA4.
+// pinned outputs of golden_model.json bit-for-bit on OTA1–OTA4. The four
+// benchmarks' pipelines are independent, so they run as parallel subtests.
 func TestModelGoldenEquivalence(t *testing.T) {
 	cfg := goldenRelaxConfig()
+	benches := modelGoldenBenchmarks()
+	entries := make([]modelGoldenEntry, len(benches))
+	t.Run("pipeline", func(t *testing.T) {
+		for i, b := range benches {
+			t.Run(b.Name, func(t *testing.T) {
+				t.Parallel()
+				entries[i] = modelGoldenEntryFor(t, b.Name, b.C, b.Seed, cfg)
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
 	got := map[string]modelGoldenEntry{}
-	for _, b := range modelGoldenBenchmarks() {
-		got[b.Name] = modelGoldenEntryFor(t, b.Name, b.C, b.Seed, cfg)
+	for i, b := range benches {
+		got[b.Name] = entries[i]
 	}
 
 	if *updateModelGolden {

@@ -68,7 +68,9 @@ func edgeForwardCore(env *forwardEnv, cVar *ad.Var) *ad.Var {
 // stacked batch of 4, under the full model and each ablation: predictions,
 // the gradient of a weighted prediction sum w.r.t. the guidance C (the
 // model's share of ∂V/∂C), and every weight gradient of a training MSE
-// backward.
+// backward. The subtests run in parallel: each draws its inputs before it
+// starts, in the order the serial loop drew them, and takes the weight
+// gradients on its own training view, so no two share mutable state.
 func TestNodeRowMessagesMatchEdgeOracle(t *testing.T) {
 	const predTol, gradTol = 1e-12, 1e-9
 	benches := []struct {
@@ -107,14 +109,14 @@ func TestNodeRowMessagesMatchEdgeOracle(t *testing.T) {
 				}
 			}
 			for _, b := range []int{1, 4} {
+				stack := tensor.New(b*nets, 3)
+				for i := 0; i < b; i++ {
+					copy(stack.Data[i*nets*3:], guidance.Sample(nets, rng, 2).Flat())
+				}
+				wts := tensor.New(b, NumMetrics).Randn(rng, 1)
+				target := tensor.New(b, NumMetrics).Randn(rng, 1)
 				t.Run(fmt.Sprintf("%s/%s/b%d", bn.name, v.name, b), func(t *testing.T) {
-					stack := tensor.New(b*nets, 3)
-					for i := 0; i < b; i++ {
-						copy(stack.Data[i*nets*3:], guidance.Sample(nets, rng, 2).Flat())
-					}
-					wts := tensor.New(b, NumMetrics).Randn(rng, 1)
-					target := tensor.New(b, NumMetrics).Randn(rng, 1)
-
+					t.Parallel()
 					type outcome struct{ pred, gradC []float64 }
 					infer := func(core func(*forwardEnv, *ad.Var) *ad.Var) outcome {
 						cv := ad.Leaf(stack.Clone(), true)
@@ -125,9 +127,9 @@ func TestNodeRowMessagesMatchEdgeOracle(t *testing.T) {
 						return outcome{append([]float64(nil), pred.Value.Data...), append([]float64(nil), cv.Grad.Data...)}
 					}
 					train := func(core func(*forwardEnv, *ad.Var) *ad.Var) [][]float64 {
-						ps := m.Params()
-						ad.ZeroGrad(ps...)
-						pred := core(m.buildEnv(g, b, ad.Const), ad.Const(stack))
+						tv := m.View(func(w *tensor.Tensor) *ad.Var { return ad.Leaf(w, true) })
+						ps := tv.Params()
+						pred := core(tv.buildEnv(g, b, ad.Const), ad.Const(stack))
 						if err := ad.Backward(ad.MSE(pred, ad.Const(target))); err != nil {
 							t.Fatal(err)
 						}

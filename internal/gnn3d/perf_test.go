@@ -18,8 +18,8 @@ import (
 // configuration whose numerics are already locked down.
 func perfFixture(tb testing.TB) (*hetgraph.Graph, *gnn3d.Model) {
 	tb.Helper()
-	hg, _ := goldenGraph(tb, netlist.OTA1(), 11)
-	return hg, goldenModel(tb, hg, 11)
+	fx := sharedGolden(tb, netlist.OTA1(), 11)
+	return fx.hg, fx.m
 }
 
 // perfGuidances draws n fixed non-uniform guidance tensors.

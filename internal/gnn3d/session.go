@@ -26,7 +26,14 @@ type InferSession struct {
 	nets int
 }
 
-// NewInferSession builds a session for evaluating m on g.
+// NewInferSession builds a session for evaluating m on g. The session's
+// tape folds every subgraph that does not read the guidance (the M encoder,
+// the unguided relations' distance expansions, the first round's messages
+// from M nodes, each relation's bias term): those values are computed once,
+// when the first Forward records the tape, and reused by every replay. The
+// weights are read as constants, so a session must not outlive a weight
+// update of m; build a new session after training m further or loading new
+// weights into it.
 func NewInferSession(m *Model, g *hetgraph.Graph) *InferSession {
 	fm := m.Frozen()
 	tp := ad.NewTape()

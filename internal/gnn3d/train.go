@@ -78,7 +78,7 @@ type TrainReport struct {
 // fitWorker is one training goroutine's tape, the model's training view
 // bound to it (every weight a requires-grad tape leaf sharing the live
 // model's tensor, see View) with its forward environment, and two tape
-// constants that take each sample's guidance and normalized target. The
+// inputs that take each sample's guidance and normalized target. The
 // first sample records the tape; later ones replay it without allocating.
 type fitWorker struct {
 	tp     *ad.Tape
@@ -94,8 +94,8 @@ func (m *Model) newFitWorker(g *hetgraph.Graph) *fitWorker {
 		tp:     tp,
 		params: v.Params(),
 		env:    v.buildEnv(g, 1, tp.Const),
-		c:      tp.Const(tensor.New(len(g.Circuit.Nets), 3)),
-		y:      tp.Const(tensor.New(1, NumMetrics)),
+		c:      tp.Input(tensor.New(len(g.Circuit.Nets), 3)),
+		y:      tp.Input(tensor.New(1, NumMetrics)),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"analogfold/internal/gnn3d"
 	"analogfold/internal/guidance"
 	"analogfold/internal/netlist"
 	"analogfold/internal/optim"
@@ -91,8 +92,10 @@ func TestEvaluatorMatchesPotential(t *testing.T) {
 
 // BenchmarkRelaxStep measures one objective evaluation V(C) + ∂V/∂C — the
 // unit the L-BFGS inner loop pays per iteration — on the tape-backed
-// evaluator versus the transient-path Potential, the test oracle. Run with
-// -benchmem; the session arm should be near allocation-free.
+// evaluator versus the transient-path Potential, the test oracle, at the
+// golden test size (Hidden 16, RBFBins 8); the served arm runs the evaluator
+// at the size the experiments and the daemon use (gnn3d.Defaults()). Run
+// with -benchmem; the session arms should be near allocation-free.
 func BenchmarkRelaxStep(b *testing.B) {
 	c := netlist.OTA1()
 	g := buildGraph(b, c, 5)
@@ -106,16 +109,22 @@ func BenchmarkRelaxStep(b *testing.B) {
 		xs[i] = guidance.Sample(n, rng, 2).Flat()
 	}
 
-	b.Run("session", func(b *testing.B) {
-		ev := newEvaluator(m, g, cfg)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ev.potential(xs[i%len(xs)], cfg); err != nil {
-				b.Fatal(err)
+	session := func(m *gnn3d.Model) func(*testing.B) {
+		return func(b *testing.B) {
+			ev := newEvaluator(m, g, cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ev.potential(xs[i%len(xs)], cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("session", session(m))
+	served := gnn3d.Defaults()
+	served.Seed = 5
+	b.Run("served", session(fitModel(b, g, served)))
 	b.Run("transient", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -39,7 +39,15 @@ func buildGraph(t testing.TB, c *netlist.Circuit, seed int64) *hetgraph.Graph {
 // potential landscape has real structure to descend.
 func trainedModel(t testing.TB, g *hetgraph.Graph, seed int64) *gnn3d.Model {
 	t.Helper()
-	m := gnn3d.New(gnn3d.Config{Seed: seed, Hidden: 16, Layers: 2, RBFBins: 8})
+	return fitModel(t, g, gnn3d.Config{Seed: seed, Hidden: 16, Layers: 2, RBFBins: 8})
+}
+
+// fitModel is trainedModel for a model of the given configuration; samples
+// and minibatches are drawn from cfg.Seed.
+func fitModel(t testing.TB, g *hetgraph.Graph, cfg gnn3d.Config) *gnn3d.Model {
+	t.Helper()
+	seed := cfg.Seed
+	m := gnn3d.New(cfg)
 	rng := rand.New(rand.NewSource(seed))
 	n := len(g.Circuit.Nets)
 	var samples []gnn3d.Sample

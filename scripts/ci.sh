@@ -13,6 +13,18 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Every Go file in the repository, bench/ module included, must be gofmt
+# clean: gofmt -l prints the files that are not. .bench_build/ is skipped:
+# it holds bench/run.sh's build cache and the generated files of a build in
+# progress.
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "FAIL: gofmt needed on:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
