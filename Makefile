@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet errcheck race chaos serve-chaos cluster-chaos dataset-chaos fuzz-smoke bench bench-test bench-parallel bench-route bench-model bench-serve obs-bench ci
+.PHONY: build test vet cross errcheck race chaos serve-chaos cluster-chaos dataset-chaos fuzz-smoke bench bench-test bench-parallel bench-route bench-model bench-serve obs-bench ci
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,19 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# cross builds and vets the portable tensor kernels for arm64, so the Go
+# path behind the amd64 assembly keeps compiling (go vet ./... runs asmdecl
+# over the assembly itself). Where the host can run GOAMD64=v3 code, it also
+# reruns the kernel oracle tests in that build, whose compiler may contract
+# the Go kernels' multiply-adds (TestSIMDOnlyWhereGoRounds checks the
+# dispatch follows).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
+	if [ "$$(uname -m)" = x86_64 ] && grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo; then \
+		GOAMD64=v3 $(GO) test -count=1 -run 'Kernels|SIMD' ./internal/tensor/; \
+	fi
 
 # errcheck is a grep-based pass over the repo's error-returning helpers:
 # bare statement calls that drop an error fail the build.

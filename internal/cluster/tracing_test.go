@@ -364,12 +364,12 @@ func TestDatasetLeaseExpiryPropagatesRequestID(t *testing.T) {
 		switch {
 		case e.Name == "cluster.shard.attempt":
 			attempts++
-			if got, _ := e.Args["request_id"].(string); got != rid {
+			if got, _ := e.Args.Get("request_id").(string); got != rid {
 				t.Errorf("shard attempt span request_id %q, want %q (args %v)", got, rid, e.Args)
 			}
 		case e.Name == "serve.dataset.shard" && e.Proc == w.ts.URL:
 			importedShards++
-			if got, _ := e.Args["request_id"].(string); got != rid {
+			if got, _ := e.Args.Get("request_id").(string); got != rid {
 				t.Errorf("imported shard span request_id %q, want %q", got, rid)
 			}
 		}

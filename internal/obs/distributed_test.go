@@ -158,10 +158,10 @@ func TestImportSpansRemap(t *testing.T) {
 	if rootEv.Parent != attempt.ID() {
 		t.Errorf("cross-process edge: root parent %d, want local span %d", rootEv.Parent, attempt.ID())
 	}
-	if rootEv.Args["clock_offset_us"] != int64(offsetUS) {
+	if rootEv.Args.Get("clock_offset_us") != int64(offsetUS) {
 		t.Errorf("boundary span args %v, want clock_offset_us=%d", rootEv.Args, offsetUS)
 	}
-	if rootEv.Args["request_id"] != "req-7" {
+	if rootEv.Args.Get("request_id") != "req-7" {
 		t.Errorf("boundary span args %v, want request_id", rootEv.Args)
 	}
 	if childEv.Proc != "http://replica-1" || rootEv.Proc != "http://replica-1" {

@@ -1,8 +1,15 @@
 package obs
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"os"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // TestFlightRecorderWraparound pins the ring-buffer semantics: a full ring
@@ -77,5 +84,81 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Record(FlightEvent{})
 	if r.Snapshot() != nil || r.Total() != 0 || r.Dropped() != 0 {
 		t.Error("nil recorder must be inert")
+	}
+}
+
+var updateArgsGolden = flag.Bool("update-golden", false, "rewrite testdata/args_*.golden from the current recorder")
+
+// TestArgsWireBytes pins the /debug/flight JSON (as serve.MarshalBody renders
+// it) and the WriteTrace output of a recording that exercises every way args
+// arrive — span args (overwritten, HTML-special strings, floats, slices,
+// bools), request IDs, instant-event maps (nil, empty, several keys) and
+// imported span summaries — to bytes recorded when args were still stored as
+// maps.
+func TestArgsWireBytes(t *testing.T) {
+	tel := New(Options{Seed: 11, Clock: fakeClock(time.Millisecond)})
+	ctx := WithTelemetry(context.Background(), tel)
+	rctx, root := StartSpan(WithRequestID(ctx, "rid-<&>"), "serve.route")
+	cctx, child := StartSpan(rctx, "relaxation")
+	Event(cctx, "relax.restart", map[string]any{
+		"restart": 3, "evals": 41, "retries": 0, "dropped": false,
+		"potential": -1.2345678901234567, "trajectory": []float64{3.5, 1e-9, -2e21},
+	})
+	Event(cctx, "route.post", nil)
+	Event(cctx, "route.empty", map[string]any{})
+	Event(rctx, "route.done", map[string]any{"wirelength_nm": 229460, "vias": 81, "z": "a<b&c>d", "iterations": 4})
+	child.Arg("zeta", 1).Arg("alpha", "x").Arg("zeta", 2.5).End()
+	root.Arg("bench", "OTA1-A").Arg("ok", true).End()
+	_, bare := StartSpan(ctx, "bare")
+	bare.End()
+	tel.ImportSpans([]SpanSummary{
+		{ID: 1, Parent: root.ID(), Name: "serve.route", Trace: root.TraceID(), StartUnixUS: 1700000000_100000, DurUS: 900, RequestID: "rid-<&>"},
+		{ID: 2, Parent: 1, Name: "relaxation", Trace: root.TraceID(), StartUnixUS: 1700000000_100200, DurUS: 400},
+		{ID: 3, Parent: 99, Name: "orphan", StartUnixUS: 1700000000_100300, DurUS: 10},
+	}, "http://replica-<1>", -250)
+
+	flight, err := json.MarshalIndent(struct {
+		Events []FlightEvent `json:"events"`
+	}{tel.Recorder().Snapshot()}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if err := tel.WriteTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		file string
+		got  []byte
+	}{{"testdata/args_flight.golden", flight}, {"testdata/args_trace.golden", trace.Bytes()}} {
+		if *updateArgsGolden {
+			if err := os.WriteFile(g.file, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s: bytes differ\ngot:\n%s\nwant:\n%s", g.file, g.got, want)
+		}
+	}
+}
+
+// TestFlightEventSlotSize pins a ring slot to its size when args were a map
+// pointer: the ring preallocates every slot, so each byte an event grows
+// costs capacity bytes of live heap in every process with telemetry.
+func TestFlightEventSlotSize(t *testing.T) {
+	type mapEvent struct {
+		ID, Parent, Track uint64
+		Name, Phase       string
+		TSUS, DurUS       int64
+		Trace, Proc       string
+		Args              map[string]any
+	}
+	if got, want := unsafe.Sizeof(FlightEvent{}), unsafe.Sizeof(mapEvent{}); got > want {
+		t.Errorf("FlightEvent is %d bytes, want at most %d", got, want)
 	}
 }

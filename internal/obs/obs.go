@@ -182,7 +182,7 @@ type Span struct {
 	traceID string
 	rid     string
 	tsUS    int64
-	args    map[string]any
+	args    *Args
 	col     *SpanCollector
 }
 
@@ -205,7 +205,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		// requests can be stitched back together across replica flight
 		// recorders. Only paid when telemetry is enabled and an ID is present.
 		s.rid = rid
-		s.args = map[string]any{"request_id": rid}
+		s.args = &Args{{"request_id", rid}}
 	}
 	if p, _ := ctx.Value(spanKey{}).(*Span); p != nil {
 		s.parent = p.id
@@ -258,10 +258,7 @@ func (s *Span) Arg(key string, value any) *Span {
 	if s == nil {
 		return nil
 	}
-	if s.args == nil {
-		s.args = make(map[string]any, 4)
-	}
-	s.args[key] = value
+	s.args = s.args.with(key, value)
 	return s
 }
 
@@ -300,7 +297,7 @@ func Event(ctx context.Context, name string, args map[string]any) {
 	}
 	t.rec.Record(FlightEvent{
 		Parent: parent, Track: track, Name: name, Trace: trace,
-		Phase: PhaseInstant, TSUS: t.nowUS(), Args: args,
+		Phase: PhaseInstant, TSUS: t.nowUS(), Args: argsOf(args),
 	})
 }
 

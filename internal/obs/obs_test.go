@@ -53,7 +53,7 @@ func TestSpanHierarchy(t *testing.T) {
 	if rootEv.DurUS <= childEv.DurUS {
 		t.Errorf("root duration %dus should exceed child %dus", rootEv.DurUS, childEv.DurUS)
 	}
-	if rootEv.Args["bench"] != "OTA1-A" {
+	if rootEv.Args.Get("bench") != "OTA1-A" {
 		t.Errorf("root args = %v", rootEv.Args)
 	}
 }

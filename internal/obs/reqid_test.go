@@ -50,7 +50,7 @@ func TestSpanCarriesRequestID(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("got %d events, want 1", len(events))
 	}
-	if got := events[0].Args["request_id"]; got != "rid-42" {
+	if got := events[0].Args.Get("request_id"); got != "rid-42" {
 		t.Fatalf("span request_id arg = %v, want rid-42", got)
 	}
 

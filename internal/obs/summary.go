@@ -173,14 +173,10 @@ func (t *Telemetry) ImportSpans(sums []SpanSummary, proc string, offsetUS int64)
 			// Cross-process edge: the parent lives in the importer's own
 			// recorder. Annotate the clock offset on this boundary span.
 			e.Parent = s.Parent
-			e.Args = map[string]any{"clock_offset_us": offsetUS}
+			e.Args = &Args{{"clock_offset_us", offsetUS}}
 		}
 		if s.RequestID != "" {
-			if e.Args == nil {
-				e.Args = map[string]any{"request_id": s.RequestID}
-			} else {
-				e.Args["request_id"] = s.RequestID
-			}
+			e.Args = e.Args.with("request_id", s.RequestID)
 		}
 		t.rec.Record(e)
 		n++

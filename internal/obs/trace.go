@@ -12,14 +12,14 @@ const emptyTrace = `{"displayTimeUnit":"ms","traceEvents":[]}` + "\n"
 // chrome://tracing and Perfetto load. Spans are "complete" events (ph "X",
 // microsecond ts/dur); instants are ph "i" with thread scope.
 type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   *int64         `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   uint64         `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name  string `json:"name"`
+	Phase string `json:"ph"`
+	TS    int64  `json:"ts"`
+	Dur   *int64 `json:"dur,omitempty"`
+	PID   int    `json:"pid"`
+	TID   uint64 `json:"tid"`
+	Scope string `json:"s,omitempty"`
+	Args  *Args  `json:"args,omitempty"`
 }
 
 // chromeTrace is the top-level object; metadata names the tracks.
@@ -61,11 +61,11 @@ func WriteTraceEvents(w io.Writer, events []FlightEvent) error {
 		// Multi-process trace: name every pid (metadata events, ph "M").
 		meta := make([]chromeEvent, 0, len(procs)+1)
 		meta = append(meta, chromeEvent{
-			Name: "process_name", Phase: "M", PID: 1, Args: map[string]any{"name": "local"},
+			Name: "process_name", Phase: "M", PID: 1, Args: &Args{{"name", "local"}},
 		})
 		for _, p := range procs {
 			meta = append(meta, chromeEvent{
-				Name: "process_name", Phase: "M", PID: pids[p], Args: map[string]any{"name": p},
+				Name: "process_name", Phase: "M", PID: pids[p], Args: &Args{{"name", p}},
 			})
 		}
 		out.TraceEvents = append(meta, out.TraceEvents...)

@@ -179,9 +179,11 @@ func MatMul(a, b *Tensor) *Tensor {
 // for every input (zeros, −0, ±Inf, NaN) — kernel_test.go checks them against
 // it.
 //
-// The kernel computes 2 rows × 4 columns of out per pass over p, holding the
-// eight accumulators in registers. An odd last row pairs with itself; spare
-// columns take a 2 × 1 pass.
+// On amd64 CPUs with AVX2 the rows and columns of out up to the last multiple
+// of 4 run in assembly (matmul_amd64.s) with the same per-element sequence
+// minus the zero skip, and only when b is all finite: then a skipped term is acc + ±0 with
+// acc never −0 (it starts at +0, and a sum is −0 only if both addends are), so
+// keeping it changes no bits. The Go kernel computes the rest.
 func MatMulInto(out, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %v x %v", a.Shape, b.Shape))
@@ -190,14 +192,30 @@ func MatMulInto(out, a, b *Tensor) {
 	if out.Dims() != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul out shape %v, want [%d %d]", out.Shape, m, n))
 	}
-	bd := b.Data
-	for i := 0; i < m; i += 2 {
-		i1 := min(i+1, m-1)
-		a0, a1 := a.Data[i*k:(i+1)*k], a.Data[i1*k:(i1+1)*k]
+	m4, n4 := simdBlock(m, k, n)
+	if m4 > 0 && allFinite(b.Data) {
+		for j := 0; j < n4; j += 8 {
+			simdPanel(min(8, n4-j), &out.Data[j], n, &a.Data[0], k, 1, &b.Data[j], n, m4, k, false)
+		}
+	} else {
+		m4, n4 = 0, 0
+	}
+	matMulGo(out.Data, a.Data, b.Data, k, n, m4, m, 0, n)
+	matMulGo(out.Data, a.Data, b.Data, k, n, 0, m4, n4, n)
+}
+
+// matMulGo is the portable MatMulInto kernel over rows [i0, i1) and columns
+// [j0, j1) of out. It computes 2 rows × 4 columns per pass over p, holding
+// the eight accumulators in registers. An odd last row pairs with itself;
+// spare columns take a 2 × 1 pass.
+func matMulGo(out, ad, bd []float64, k, n, i0, i1, j0, j1 int) {
+	for i := i0; i < i1; i += 2 {
+		ir := min(i+1, i1-1)
+		a0, a1 := ad[i*k:(i+1)*k], ad[ir*k:(ir+1)*k]
 		a1 = a1[:len(a0)]
-		o0, o1 := out.Data[i*n:(i+1)*n], out.Data[i1*n:(i1+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
+		o0, o1 := out[i*n:(i+1)*n], out[ir*n:(ir+1)*n]
+		j := j0
+		for ; j+4 <= j1; j += 4 {
 			var c00, c01, c02, c03, c10, c11, c12, c13 float64
 			q := j // offset of b[p][j]
 			for p, x0 := range a0 {
@@ -219,7 +237,7 @@ func MatMulInto(out, a, b *Tensor) {
 			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
 			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
 		}
-		for ; j < n; j++ {
+		for ; j < j1; j++ {
 			var c0, c1 float64
 			for p, x0 := range a0 {
 				x1, y := a1[p], bd[p*n+j]
@@ -246,8 +264,8 @@ func MatMulATB(a, b *Tensor) *Tensor {
 }
 
 // MatMulATBInto computes out = aᵀ @ b into a caller-owned tensor, assigning
-// every element. Same invariant and blocking as MatMulInto: ascending-p sums
-// from +0, zero a elements skipped.
+// every element. Same invariant, blocking and SIMD condition as MatMulInto:
+// ascending-p sums from +0, zero a elements skipped, AVX2 only on finite b.
 func MatMulATBInto(out, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmulATB shape mismatch %v x %v", a.Shape, b.Shape))
@@ -256,15 +274,29 @@ func MatMulATBInto(out, a, b *Tensor) {
 	if out.Dims() != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulATB out shape %v, want [%d %d]", out.Shape, m, n))
 	}
-	ad, bd := a.Data, b.Data
-	for i := 0; i < m; i += 2 {
-		i1 := min(i+1, m-1)
-		o0, o1 := out.Data[i*n:(i+1)*n], out.Data[i1*n:(i1+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
+	m4, n4 := simdBlock(m, k, n)
+	if m4 > 0 && allFinite(b.Data) {
+		for j := 0; j < n4; j += 8 {
+			simdPanel(min(8, n4-j), &out.Data[j], n, &a.Data[0], 1, m, &b.Data[j], n, m4, k, false)
+		}
+	} else {
+		m4, n4 = 0, 0
+	}
+	matMulATBGo(out.Data, a.Data, b.Data, m, k, n, m4, m, 0, n)
+	matMulATBGo(out.Data, a.Data, b.Data, m, k, n, 0, m4, n4, n)
+}
+
+// matMulATBGo is the portable MatMulATBInto kernel over rows [i0, i1) and
+// columns [j0, j1) of out, blocked like matMulGo.
+func matMulATBGo(out, ad, bd []float64, m, k, n, i0, i1, j0, j1 int) {
+	for i := i0; i < i1; i += 2 {
+		ir := min(i+1, i1-1)
+		o0, o1 := out[i*n:(i+1)*n], out[ir*n:(ir+1)*n]
+		j := j0
+		for ; j+4 <= j1; j += 4 {
 			var c00, c01, c02, c03, c10, c11, c12, c13 float64
 			for p := 0; p < k; p++ {
-				x0, x1, y := ad[p*m+i], ad[p*m+i1], bd[p*n+j:p*n+j+4:p*n+j+4]
+				x0, x1, y := ad[p*m+i], ad[p*m+ir], bd[p*n+j:p*n+j+4:p*n+j+4]
 				if x0 != 0 {
 					c00 += x0 * y[0]
 					c01 += x0 * y[1]
@@ -281,10 +313,10 @@ func MatMulATBInto(out, a, b *Tensor) {
 			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
 			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
 		}
-		for ; j < n; j++ {
+		for ; j < j1; j++ {
 			var c0, c1 float64
 			for p := 0; p < k; p++ {
-				x0, x1, y := ad[p*m+i], ad[p*m+i1], bd[p*n+j]
+				x0, x1, y := ad[p*m+i], ad[p*m+ir], bd[p*n+j]
 				if x0 != 0 {
 					c0 += x0 * y
 				}
@@ -309,7 +341,8 @@ func MatMulABT(a, b *Tensor) *Tensor {
 
 // MatMulABTInto computes out = a @ bᵀ into a caller-owned tensor, assigning
 // every element. Same invariant and blocking as MatMulInto (ascending-p sums
-// from +0), but with no zero skip: each element is a plain dot product.
+// from +0), but with no zero skip: each element is a plain dot product, so
+// the AVX2 path matches on any data.
 func MatMulABTInto(out, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: matmulABT shape mismatch %v x %v", a.Shape, b.Shape))
@@ -318,14 +351,49 @@ func MatMulABTInto(out, a, b *Tensor) {
 	if out.Dims() != 2 || out.Shape[0] != m || out.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulABT out shape %v, want [%d %d]", out.Shape, m, n))
 	}
-	bd := b.Data
-	for i := 0; i < m; i += 2 {
-		i1 := min(i+1, m-1)
-		a0, a1 := a.Data[i*k:(i+1)*k], a.Data[i1*k:(i1+1)*k]
+	m4, n4 := simdBlock(m, k, n)
+	if m4 > 0 {
+		matMulABTSIMD(out.Data, a.Data, b.Data, k, n, m4, n4)
+	}
+	matMulABTGo(out.Data, a.Data, b.Data, k, n, m4, m, 0, n)
+	matMulABTGo(out.Data, a.Data, b.Data, k, n, 0, m4, n4, n)
+}
+
+// abtChunk is the p extent of one packed ABT panel: 64 × 8 float64s, 4 KB of
+// stack.
+const abtChunk = 64
+
+// matMulABTSIMD computes rows [0, m4) × columns [0, n4) of out = a @ bᵀ on
+// the AVX2 kernels. They read b by rows of p, so each panel of up to 8 rows
+// of b is packed transposed into a stack buffer, abtChunk values of p at a
+// time; every chunk after the first resumes the accumulators from out, which
+// holds each partial sum exactly.
+func matMulABTSIMD(out, ad, bd []float64, k, n, m4, n4 int) {
+	var pk [abtChunk * 8]float64
+	for j := 0; j < n4; j += 8 {
+		w := min(8, n4-j)
+		for p0 := 0; p0 < k; p0 += abtChunk {
+			kc := min(abtChunk, k-p0)
+			for c := 0; c < w; c++ {
+				for p, v := range bd[(j+c)*k+p0 : (j+c)*k+p0+kc] {
+					pk[p*w+c] = v
+				}
+			}
+			simdPanel(w, &out[j], n, &ad[p0], k, 1, &pk[0], w, m4, kc, p0 > 0)
+		}
+	}
+}
+
+// matMulABTGo is the portable MatMulABTInto kernel over rows [i0, i1) and
+// columns [j0, j1) of out, blocked like matMulGo.
+func matMulABTGo(out, ad, bd []float64, k, n, i0, i1, j0, j1 int) {
+	for i := i0; i < i1; i += 2 {
+		ir := min(i+1, i1-1)
+		a0, a1 := ad[i*k:(i+1)*k], ad[ir*k:(ir+1)*k]
 		a1 = a1[:len(a0)]
-		o0, o1 := out.Data[i*n:(i+1)*n], out.Data[i1*n:(i1+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
+		o0, o1 := out[i*n:(i+1)*n], out[ir*n:(ir+1)*n]
+		j := j0
+		for ; j+4 <= j1; j += 4 {
 			b0, b1 := bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k]
 			b2, b3 := bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k]
 			b0, b1, b2, b3 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)], b3[:len(a0)]
@@ -344,7 +412,7 @@ func MatMulABTInto(out, a, b *Tensor) {
 			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
 			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
 		}
-		for ; j < n; j++ {
+		for ; j < j1; j++ {
 			bj := bd[j*k : (j+1)*k]
 			bj = bj[:len(a0)]
 			var c0, c1 float64
@@ -355,6 +423,44 @@ func MatMulABTInto(out, a, b *Tensor) {
 			o0[j], o1[j] = c0, c1
 		}
 	}
+}
+
+// useSIMD switches the AVX2 kernels on; it starts as simdOK, and tests turn
+// it off to run the Go kernels alone.
+var useSIMD = simdOK
+
+// simdBlock returns the rows and columns, from 0, of an m×n product over k
+// that the AVX2 kernels compute: multiples of 4, or (0, 0) when they are off
+// or the product has no full 4 × 4 block.
+func simdBlock(m, k, n int) (m4, n4 int) {
+	if !useSIMD || m < 4 || n < 4 || k == 0 {
+		return 0, 0
+	}
+	return m &^ 3, n &^ 3
+}
+
+// allFinite reports whether no element of x is ±Inf or NaN (x−x is NaN for
+// exactly those).
+func allFinite(x []float64) bool {
+	for _, v := range x {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// goRoundsProducts reports whether this build's Go kernels round each
+// product before adding it. gc may contract acc += x*y into a fused
+// multiply-add where the target has one (GOAMD64=v3 and up, arm64); the AVX2
+// kernels never do, so they may only stand in for Go kernels that don't
+// either. The probe sums -1 + x·x with x = 1+2⁻⁵²: rounded, x·x is 1+2⁻⁵¹
+// and the sum 2⁻⁵¹; fused, the sum keeps the product's 2⁻¹⁰⁴ term.
+func goRoundsProducts() bool {
+	x := 1 + 0x1p-52
+	out := make([]float64, 2*4)
+	matMulGo(out, []float64{1, x, 1, x}, []float64{-1, -1, -1, -1, x, x, x, x}, 2, 4, 0, 2, 0, 4)
+	return out[0] == 0x1p-51
 }
 
 // Apply returns a new tensor with f applied elementwise.

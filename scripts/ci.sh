@@ -13,6 +13,9 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== cross-build (portable kernels) and GOAMD64=v3 kernel tests =="
+make cross
+
 echo "== gofmt =="
 # Every Go file in the repository, bench/ module included, must be gofmt
 # clean: gofmt -l prints the files that are not. .bench_build/ is skipped:
