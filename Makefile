@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet cross errcheck race chaos serve-chaos cluster-chaos dataset-chaos fuzz-smoke bench bench-test bench-parallel bench-route bench-model bench-serve obs-bench ci
+.PHONY: build test vet cross errcheck race chaos serve-chaos cluster-chaos dataset-chaos fuzz-smoke bench bench-test ci
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParseHealth -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s ./internal/gnn3d/
+	$(GO) test -run '^$$' -fuzz FuzzReadSpice -fuzztime 10s ./internal/export/
+	$(GO) test -run '^$$' -fuzz FuzzReadSPEF -fuzztime 10s ./internal/export/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -90,44 +92,6 @@ bench:
 # Go module, so the root go test ./... does not reach it).
 bench-test:
 	cd bench && $(GO) test ./...
-
-# bench-parallel measures the serial-vs-parallel wall time of the
-# parallelized phases and writes BENCH_parallel.json.
-bench-parallel:
-	$(GO) test -run NONE -bench BenchmarkParallelSpeedup -benchtime 1x .
-
-# bench-route measures the detailed-router hot path per OTA benchmark
-# (wall time, allocs, routed quality) and writes BENCH_route.json; the
-# in-package micro-benchmarks cover the A* core and the negotiation loop under
-# uniform and sampled guidance.
-bench-route:
-	$(GO) test -run NONE -bench BenchmarkRouteReport -benchtime 1x .
-	$(GO) test -run NONE -bench 'BenchmarkAstarCore|BenchmarkRouteNegotiation' -benchmem -benchtime 100x ./internal/route/
-
-# bench-model measures the 3DGNN inference core (tape-backed session vs the
-# transient path, batched vs sequential candidate scoring) and writes
-# BENCH_model.json; the in-package micro-benchmarks cover the same arms with
-# go-bench statistics, the session cycle at the served size (Hidden 24,
-# RBFBins 12), training on the tape against the transient oracle trainer, and
-# the three matmul kernels against their reference loops at the OTA1 PP-edge
-# shape.
-bench-model:
-	$(GO) test -run NONE -bench BenchmarkModelReport -benchtime 1x .
-	$(GO) test -run NONE -bench 'BenchmarkModelCore|BenchmarkCandidateScoring|BenchmarkRelaxStep' -benchmem -benchtime 100x ./internal/gnn3d/ ./internal/relax/
-	$(GO) test -run NONE -bench BenchmarkFit -benchmem -benchtime 5x ./internal/gnn3d/
-	$(GO) test -run NONE -bench BenchmarkMatMulKernels -benchtime 2000x ./internal/tensor/
-
-# bench-serve measures batch-first serving (duplicate-heavy mix against the
-# result cache + singleflight, all-distinct mix through micro-batch scoring
-# waves, wave-scoring allocation model) and writes BENCH_serve.json.
-bench-serve:
-	$(GO) test -run NONE -bench BenchmarkServeThroughput -benchtime 1x .
-
-# obs-bench measures the telemetry layer's enabled-path overhead on each
-# instrumented hot path (routing, relaxation) and writes BENCH_obs.json;
-# the budget is <5%, enforced cheaply in CI by TestObsOverheadSmoke.
-obs-bench:
-	$(GO) test -run NONE -bench BenchmarkObsOverhead -benchtime 1x .
 
 ci:
 	./scripts/ci.sh

@@ -11,15 +11,8 @@ package analogfold_bench
 
 import (
 	"context"
-	"encoding/json"
-	"math"
-	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
-	"analogfold/internal/ad"
-	"analogfold/internal/atomicfile"
 	"analogfold/internal/circuit"
 	"analogfold/internal/core"
 	"analogfold/internal/dataset"
@@ -257,394 +250,6 @@ func BenchmarkDatasetSample(b *testing.B) {
 		if _, err := dataset.Label(context.Background(), g, gd, route.Config{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// parallelPhase is one row of the BENCH_parallel.json report.
-type parallelPhase struct {
-	Phase      string  `json:"phase"`
-	SerialMs   float64 `json:"serial_ms"`
-	ParallelMs float64 `json:"parallel_ms"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// parallelReport is the machine-readable output of BenchmarkParallelSpeedup.
-// DegenerateHost flags reports recorded on a single-CPU machine, where every
-// speedup necessarily reads ~1.0× and asserting on it would be noise.
-type parallelReport struct {
-	GoMaxProcs     int             `json:"gomaxprocs"`
-	NumCPU         int             `json:"numcpu"`
-	Workers        int             `json:"workers"`
-	DegenerateHost bool            `json:"degenerate_host"`
-	Phases         []parallelPhase `json:"phases"`
-}
-
-// BenchmarkParallelSpeedup measures serial (Workers=1) versus parallel
-// (Workers=GOMAXPROCS) wall time of the four parallelized phases —
-// relaxation, Monte Carlo, dataset generation, and minibatch training — and
-// writes BENCH_parallel.json next to the benchmark. The speedup metric is
-// the geometric mean across phases; on a single-core host it reports ~1×,
-// and the ≥2× acceptance target applies at GOMAXPROCS ≥ 4. Results are
-// bit-identical across worker counts (see the *WorkerCountInvariant tests),
-// so only wall time changes.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	g := builtGrid(b, netlist.OTA1())
-	hg, err := hetgraph.Build(g, hetgraph.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := gnn3d.New(gnn3d.Config{Seed: 1, Hidden: 16, Layers: 2, RBFBins: 8})
-	res, err := route.Route(g, guidance.Uniform(len(g.Place.Circuit.Nets)), route.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := circuit.NewSimulator(g.Place.Circuit, extract.Extract(g, res))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := dataset.Generate(context.Background(), g, dataset.Config{Samples: 8, Seed: 1, IncludeUniform: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	phases := []struct {
-		name string
-		run  func(w int) error
-	}{
-		{"relaxation", func(w int) error {
-			_, err := relax.Optimize(context.Background(), m, hg, relax.Config{Restarts: 8, MaxIter: 10, Seed: 1, Workers: w})
-			return err
-		}},
-		{"montecarlo", func(w int) error {
-			_, err := sim.MonteCarloOffsetWorkers(4000, 1, w)
-			return err
-		}},
-		{"dataset", func(w int) error {
-			_, err := dataset.Generate(context.Background(), g, dataset.Config{Samples: 8, Seed: 1, Workers: w, IncludeUniform: true})
-			return err
-		}},
-		{"train", func(w int) error {
-			mm := gnn3d.New(gnn3d.Config{Seed: 1, Hidden: 16, Layers: 2, RBFBins: 8})
-			_, err := mm.Fit(context.Background(), hg, ds.Samples(), gnn3d.TrainConfig{Epochs: 3, Seed: 1, BatchSize: 4, Workers: w})
-			return err
-		}},
-	}
-
-	measure := func(run func(int) error, w int) time.Duration {
-		t0 := time.Now()
-		if err := run(w); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(t0)
-	}
-
-	rep := parallelReport{
-		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Workers: workers,
-		DegenerateHost: runtime.NumCPU() < 2,
-	}
-	logSum := 0.0
-	for _, p := range phases {
-		p.run(workers) // warm caches so neither arm pays first-touch costs
-		serial := measure(p.run, 1)
-		par := measure(p.run, workers)
-		sp := serial.Seconds() / par.Seconds()
-		rep.Phases = append(rep.Phases, parallelPhase{
-			Phase:      p.name,
-			SerialMs:   float64(serial.Microseconds()) / 1e3,
-			ParallelMs: float64(par.Microseconds()) / 1e3,
-			Speedup:    sp,
-		})
-		logSum += math.Log(sp)
-		b.Logf("%-12s serial %8.1fms  parallel(%d) %8.1fms  speedup %.2fx",
-			p.name, serial.Seconds()*1e3, workers, par.Seconds()*1e3, sp)
-	}
-	geo := math.Exp(logSum / float64(len(phases)))
-	b.ReportMetric(geo, "speedup")
-	b.ReportMetric(float64(workers), "workers")
-	if rep.DegenerateHost {
-		b.Logf("single-CPU host: speedups read ~1.0x by construction, skipping speedup assertion")
-	} else if workers >= 4 && geo < 1.0 {
-		// On a genuinely parallel host the parallel arm must not lose to the
-		// serial one; the ≥2x target applies at GOMAXPROCS ≥ 4.
-		b.Errorf("geomean speedup %.2fx < 1.0x on a %d-CPU host", geo, runtime.NumCPU())
-	}
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := atomicfile.WriteFile("BENCH_parallel.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Log("wrote BENCH_parallel.json")
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := phases[0].run(workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// routeBenchRow is one circuit's row in the BENCH_route.json report.
-type routeBenchRow struct {
-	Benchmark    string  `json:"benchmark"`
-	RouteMs      float64 `json:"route_ms"`
-	AllocsPerOp  uint64  `json:"allocs_per_op"`
-	BytesPerOp   uint64  `json:"bytes_per_op"`
-	WirelengthNm int     `json:"wirelength_nm"`
-	Vias         int     `json:"vias"`
-	Iterations   int     `json:"iterations"`
-}
-
-// routeReport is the machine-readable output of BenchmarkRouteReport,
-// mirroring BENCH_parallel.json: host shape up front so numbers recorded on
-// a degenerate machine are recognizable as such.
-type routeReport struct {
-	GoMaxProcs     int             `json:"gomaxprocs"`
-	NumCPU         int             `json:"numcpu"`
-	DegenerateHost bool            `json:"degenerate_host"`
-	Rows           []routeBenchRow `json:"benchmarks"`
-}
-
-// BenchmarkRouteReport measures one full detailed-routing pass per OTA
-// benchmark — wall time, allocations and routed quality — and writes
-// BENCH_route.json next to BENCH_parallel.json. This is the perf-regression
-// record for the zero-allocation router core: rerun with `make bench-route`
-// and diff the file to see whether a change moved the hot path.
-func BenchmarkRouteReport(b *testing.B) {
-	rep := routeReport{
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-		DegenerateHost: runtime.NumCPU() < 2,
-	}
-	const reps = 3
-	for _, bc := range []struct {
-		name string
-		mk   func() *netlist.Circuit
-	}{
-		{"OTA1", netlist.OTA1}, {"OTA2", netlist.OTA2}, {"OTA3", netlist.OTA3}, {"OTA4", netlist.OTA4},
-	} {
-		c := bc.mk()
-		g := builtGrid(b, c)
-		gd := guidance.Uniform(len(c.Nets))
-		res, err := route.Route(g, gd, route.Config{}) // warm-up + quality row
-		if err != nil {
-			b.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := route.Route(g, gd, route.Config{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		row := routeBenchRow{
-			Benchmark:    bc.name,
-			RouteMs:      wall.Seconds() * 1e3 / reps,
-			AllocsPerOp:  (after.Mallocs - before.Mallocs) / reps,
-			BytesPerOp:   (after.TotalAlloc - before.TotalAlloc) / reps,
-			WirelengthNm: res.WirelengthNm,
-			Vias:         res.Vias,
-			Iterations:   res.Iterations,
-		}
-		rep.Rows = append(rep.Rows, row)
-		b.Logf("%-5s route %8.1fms  %7d allocs/op  %9d B/op  wl=%dnm vias=%d",
-			bc.name, row.RouteMs, row.AllocsPerOp, row.BytesPerOp, row.WirelengthNm, row.Vias)
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := atomicfile.WriteFile("BENCH_route.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Log("wrote BENCH_route.json")
-
-	g := builtGrid(b, netlist.OTA1())
-	gd := guidance.Uniform(len(g.Place.Circuit.Nets))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := route.Route(g, gd, route.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// modelBenchArm is one measured arm of the BENCH_model.json report.
-type modelBenchArm struct {
-	MsPerOp     float64 `json:"ms_per_op"`
-	AllocsPerOp uint64  `json:"allocs_per_op"`
-	BytesPerOp  uint64  `json:"bytes_per_op"`
-}
-
-// modelReport is the machine-readable output of BenchmarkModelReport — the
-// perf-regression record for the zero-allocation model inference core,
-// following the BENCH_route.json shape (host fields up front so numbers
-// recorded on a degenerate machine are recognizable as such).
-type modelReport struct {
-	GoMaxProcs     int  `json:"gomaxprocs"`
-	NumCPU         int  `json:"numcpu"`
-	DegenerateHost bool `json:"degenerate_host"`
-
-	// SessionAllocsPerRun is the steady-state allocation count of one full
-	// guidance-gradient cycle (SetC → Forward → Backward) on a warm session
-	// tape, measured with testing.AllocsPerRun. This is the CI-gated pin:
-	// the tape arena makes it independent of model size.
-	SessionAllocsPerRun float64 `json:"session_allocs_per_run"`
-
-	Session   modelBenchArm `json:"session_core"`
-	Transient modelBenchArm `json:"transient_core"`
-	// AllocReduction = transient allocs/op ÷ session allocs/op (CI-gated ≥5×).
-	AllocReduction float64 `json:"alloc_reduction"`
-	CoreSpeedup    float64 `json:"core_speedup"`
-
-	// Candidate scoring: NDerive guidance sets through one stacked
-	// ForwardBatch versus sequential Predicts.
-	Candidates        int     `json:"candidates"`
-	BatchedScoreMs    float64 `json:"batched_score_ms"`
-	SequentialScoreMs float64 `json:"sequential_score_ms"`
-	ScoreSpeedup      float64 `json:"score_speedup"`
-}
-
-// BenchmarkModelReport measures the 3DGNN inference core — one Forward+
-// Backward guidance-gradient cycle, tape-backed session versus the transient
-// per-op-allocating path, plus batched-versus-sequential candidate scoring —
-// and writes BENCH_model.json next to BENCH_route.json. Rerun with
-// `make bench-model` and diff the file to see whether a change moved the
-// relaxation's hot path. Allocation gates (host-independent) fail the
-// benchmark on regression; wall-time gates apply only off degenerate hosts.
-func BenchmarkModelReport(b *testing.B) {
-	g := builtGrid(b, netlist.OTA1())
-	hg, err := hetgraph.Build(g, hetgraph.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The relaxation-scale model (the same configuration BenchmarkRelaxation
-	// and the golden suite pin): this report measures relax's inner loop.
-	m := gnn3d.New(gnn3d.Config{Seed: 1, Hidden: 16, Layers: 2, RBFBins: 8})
-	nets := len(g.Place.Circuit.Nets)
-	rng := rand.New(rand.NewSource(7))
-	const nDerive = 4
-	cs := make([]*tensor.Tensor, nDerive)
-	for i := range cs {
-		gd := guidance.Sample(nets, rng, 2)
-		cs[i] = tensor.FromSlice(gd.Flat(), nets, 3)
-	}
-
-	rep := modelReport{
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-		DegenerateHost: runtime.NumCPU() < 2,
-		Candidates:     nDerive,
-	}
-
-	// measure times reps calls of fn and reports wall/allocs/bytes per op.
-	measure := func(reps int, fn func(int)) modelBenchArm {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		for i := 0; i < reps; i++ {
-			fn(i)
-		}
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		return modelBenchArm{
-			MsPerOp:     wall.Seconds() * 1e3 / float64(reps),
-			AllocsPerOp: (after.Mallocs - before.Mallocs) / uint64(reps),
-			BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / uint64(reps),
-		}
-	}
-
-	sess := gnn3d.NewInferSession(m, hg)
-	cycle := func(i int) {
-		if err := sess.SetC(cs[i%nDerive].Data); err != nil {
-			b.Fatal(err)
-		}
-		if err := ad.Backward(ad.Sum(sess.Forward())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cycle(0) // record the tape
-	cycle(1) // stabilize the scratch pool
-	j := 0
-	rep.SessionAllocsPerRun = testing.AllocsPerRun(50, func() {
-		cycle(j)
-		j++
-	})
-	rep.Session = measure(30, cycle)
-	rep.Transient = measure(30, func(i int) {
-		cv := ad.Leaf(cs[i%nDerive].Clone(), true)
-		pred, err := m.Forward(hg, cv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ad.Backward(ad.Sum(pred)); err != nil {
-			b.Fatal(err)
-		}
-	})
-	rep.AllocReduction = float64(rep.Transient.AllocsPerOp) / math.Max(1, float64(rep.Session.AllocsPerOp))
-	rep.CoreSpeedup = rep.Transient.MsPerOp / rep.Session.MsPerOp
-
-	if _, err := m.PredictBatch(hg, cs); err != nil { // warm both arms
-		b.Fatal(err)
-	}
-	rep.BatchedScoreMs = measure(30, func(int) {
-		if _, err := m.PredictBatch(hg, cs); err != nil {
-			b.Fatal(err)
-		}
-	}).MsPerOp
-	rep.SequentialScoreMs = measure(30, func(int) {
-		for _, c := range cs {
-			if _, err := m.Predict(hg, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}).MsPerOp
-	rep.ScoreSpeedup = rep.SequentialScoreMs / rep.BatchedScoreMs
-
-	b.Logf("session   %8.2fms  %7d allocs/op  %9d B/op  (steady-state %.1f allocs/cycle)",
-		rep.Session.MsPerOp, rep.Session.AllocsPerOp, rep.Session.BytesPerOp, rep.SessionAllocsPerRun)
-	b.Logf("transient %8.2fms  %7d allocs/op  %9d B/op  (reduction %.1fx, speedup %.2fx)",
-		rep.Transient.MsPerOp, rep.Transient.AllocsPerOp, rep.Transient.BytesPerOp,
-		rep.AllocReduction, rep.CoreSpeedup)
-	b.Logf("scoring %d candidates: batched %8.2fms  sequential %8.2fms  (%.2fx)",
-		nDerive, rep.BatchedScoreMs, rep.SequentialScoreMs, rep.ScoreSpeedup)
-	b.ReportMetric(rep.SessionAllocsPerRun, "allocs/cycle")
-	b.ReportMetric(rep.AllocReduction, "alloc-reduction")
-
-	// Allocation behavior is host-independent: gate it everywhere.
-	if rep.SessionAllocsPerRun > 8 {
-		b.Errorf("steady-state session cycle allocates %.1f/run, pin is <= 8 — the tape arena regressed",
-			rep.SessionAllocsPerRun)
-	}
-	if rep.AllocReduction < 5 {
-		b.Errorf("session path allocates only %.1fx less than transient, want >= 5x", rep.AllocReduction)
-	}
-	// Wall time is noisy on starved hosts; gate only the core win, which has
-	// a wide margin, and only on real machines.
-	if !rep.DegenerateHost && rep.CoreSpeedup < 1.0 {
-		b.Errorf("tape-backed session slower than transient path: %.2fx", rep.CoreSpeedup)
-	}
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := atomicfile.WriteFile("BENCH_model.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Log("wrote BENCH_model.json")
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(i)
 	}
 }
 

@@ -2,13 +2,23 @@ package analogfold_bench
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
+	"analogfold/internal/circuit"
 	"analogfold/internal/core"
+	"analogfold/internal/dataset"
 	"analogfold/internal/drc"
+	"analogfold/internal/extract"
+	"analogfold/internal/gnn3d"
+	"analogfold/internal/guidance"
+	"analogfold/internal/hetgraph"
 	"analogfold/internal/lvs"
 	"analogfold/internal/netlist"
 	"analogfold/internal/place"
+	"analogfold/internal/relax"
 	"analogfold/internal/route"
 )
 
@@ -102,5 +112,75 @@ func TestCrossCircuitConsistency(t *testing.T) {
 				t.Errorf("post-layout offset %.2f", out.Metrics.OffsetUV)
 			}
 		})
+	}
+}
+
+// TestParallelSpeedup gates the four parallelized phases — relaxation, Monte
+// Carlo, dataset generation and minibatch training: their geometric-mean
+// speedup at Workers=GOMAXPROCS over Workers=1 must not fall below 1.0. It
+// runs only where that can be measured, at GOMAXPROCS >= 4 on a multi-CPU
+// host. Results are bit-identical across worker counts (the
+// *WorkerCountInvariant tests), so only wall time moves.
+func TestParallelSpeedup(t *testing.T) {
+	workers := runtime.GOMAXPROCS(0)
+	if testing.Short() || runtime.NumCPU() < 2 || workers < 4 {
+		t.Skipf("speedup gate needs GOMAXPROCS >= 4 on a multi-CPU host (have %d on %d CPUs)", workers, runtime.NumCPU())
+	}
+	g := obsGrid(t)
+	hg, err := hetgraph.Build(g, hetgraph.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := gnn3d.New(gnn3d.Config{Seed: 1, Hidden: 16, Layers: 2, RBFBins: 8})
+	res, err := route.Route(g, guidance.Uniform(len(g.Place.Circuit.Nets)), route.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := circuit.NewSimulator(g.Place.Circuit, extract.Extract(g, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.Generate(context.Background(), g, dataset.Config{Samples: 8, Seed: 1, IncludeUniform: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := []struct {
+		name string
+		run  func(w int) error
+	}{
+		{"relaxation", func(w int) error {
+			_, err := relax.Optimize(context.Background(), m, hg, relax.Config{Restarts: 8, MaxIter: 10, Seed: 1, Workers: w})
+			return err
+		}},
+		{"montecarlo", func(w int) error {
+			_, err := sim.MonteCarloOffsetWorkers(4000, 1, w)
+			return err
+		}},
+		{"dataset", func(w int) error {
+			_, err := dataset.Generate(context.Background(), g, dataset.Config{Samples: 8, Seed: 1, Workers: w, IncludeUniform: true})
+			return err
+		}},
+		{"train", func(w int) error {
+			mm := gnn3d.New(gnn3d.Config{Seed: 1, Hidden: 16, Layers: 2, RBFBins: 8})
+			_, err := mm.Fit(context.Background(), hg, ds.Samples(), gnn3d.TrainConfig{Epochs: 3, Seed: 1, BatchSize: 4, Workers: w})
+			return err
+		}},
+	}
+	wall := func(run func(int) error, w int) time.Duration {
+		t0 := time.Now()
+		if err := run(w); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	logSum := 0.0
+	for _, p := range phases {
+		wall(p.run, workers) // warm caches so neither arm pays first-touch costs
+		serial, par := wall(p.run, 1), wall(p.run, workers)
+		t.Logf("%-10s serial %v  parallel(%d) %v", p.name, serial, workers, par)
+		logSum += math.Log(serial.Seconds() / par.Seconds())
+	}
+	if geo := math.Exp(logSum / float64(len(phases))); geo < 1.0 {
+		t.Errorf("geomean speedup %.2fx < 1.0x at GOMAXPROCS %d on %d CPUs", geo, workers, runtime.NumCPU())
 	}
 }

@@ -128,13 +128,18 @@ func newTestCoordinator(t *testing.T, cfg Config) *Coordinator {
 // benchWithFirstChoice finds a benchmark whose rendezvous first choice is the
 // wanted replica. Ports (and so hashes) vary per run; 20 benches make a miss
 // astronomically unlikely, and the t.Skip is a loud fallback, not an expected
-// path.
+// path. It ranks by hash alone, not by c.candidates: the first probe may
+// already have marked a dead replica down, which would move it off the top.
 func benchWithFirstChoice(t *testing.T, c *Coordinator, want *replica) string {
 	t.Helper()
+	hashes := make([]uint64, len(c.replicas))
+	for i, r := range c.replicas {
+		hashes[i] = r.hash
+	}
 	for _, ckt := range []string{"OTA1", "OTA2", "OTA3", "OTA4", "OTA5"} {
 		for _, prof := range []string{"A", "B", "C", "D"} {
 			bench := ckt + "-" + prof
-			if c.candidates(Digest(bench))[0].url == want.url {
+			if c.replicas[rankOrder(Digest(bench), hashes)[0]] == want {
 				return bench
 			}
 		}

@@ -2,12 +2,14 @@ package export
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"analogfold/internal/circuit"
 	"analogfold/internal/extract"
+	"analogfold/internal/fault"
 	"analogfold/internal/grid"
 	"analogfold/internal/guidance"
 	"analogfold/internal/netlist"
@@ -89,34 +91,34 @@ func TestReadSpiceRejectsMalformed(t *testing.T) {
 		"C1 a\n",                    // missing value
 		"R1 a b notanumber\n",       // bad value
 		"M1 d g s b nch W=x L=4n\n", // bad width
+		"M1 d g s b nch W=100n L=40n $ ID=banana VOV=0.1\n", // bad bias
 	}
 	for i, src := range cases {
-		if _, err := ReadSpice(strings.NewReader(src), "bad"); err == nil {
-			t.Errorf("case %d: malformed deck accepted", i)
+		if _, err := ReadSpice(strings.NewReader(src), "bad"); !errors.Is(err, fault.ErrInvalidInput) {
+			t.Errorf("case %d: malformed deck gave %v, want fault.ErrInvalidInput", i, err)
 		}
 	}
 }
 
-func routedDesign(t *testing.T) (*grid.Grid, *route.Result, *extract.Parasitics) {
-	t.Helper()
-	c := netlist.OTA1()
+func routedDesign(tb testing.TB, c *netlist.Circuit) (*grid.Grid, *route.Result, *extract.Parasitics) {
+	tb.Helper()
 	p, err := place.Place(c, place.Config{Profile: place.ProfileA, Seed: 1, Iterations: 1500})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	g, err := grid.Build(p, tech.Sim40())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := route.Route(g, guidance.Uniform(len(c.Nets)), route.Config{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g, res, extract.Extract(g, res)
 }
 
 func TestSPEFRoundTrip(t *testing.T) {
-	g, _, par := routedDesign(t)
+	g, _, par := routedDesign(t, netlist.OTA1())
 	c := g.Place.Circuit
 	var buf bytes.Buffer
 	if err := WriteSPEF(&buf, c, par); err != nil {
@@ -147,7 +149,7 @@ func TestSPEFRoundTrip(t *testing.T) {
 // TestSPEFRoundTripSimulation: the re-read parasitics must produce the same
 // post-layout metrics (to write-precision).
 func TestSPEFRoundTripSimulation(t *testing.T) {
-	g, _, par := routedDesign(t)
+	g, _, par := routedDesign(t, netlist.OTA1())
 	c := g.Place.Circuit
 	var buf bytes.Buffer
 	if err := WriteSPEF(&buf, c, par); err != nil {
@@ -178,18 +180,21 @@ func TestReadSPEFRejectsMalformed(t *testing.T) {
 	cases := []string{
 		"*D_NET nosuchnet 1e-15\n",
 		"*D_NET VOUT 1e-15\n*CAP\n1 VOUT:gnd\n",
-		"1 VOUT:gnd 1e-15\n",                    // value outside section
-		"*D_NET VOUT 1e-15\n1 VOUT:gnd 1e-15\n", // no CAP/RES header
+		"1 VOUT:gnd 1e-15\n",                              // value outside section
+		"*D_NET VOUT 1e-15\n1 VOUT:gnd 1e-15\n",           // no CAP/RES header
+		"*D_NET VOUT 1e-15\n*CAP\n1 VOUT:gnd NaN\n",       // non-finite cap
+		"*D_NET VOUT 1e-15\n*RES\n1 VOUT:1 VOUT:2 -5\n",   // negative res
+		"*D_NET VOUT 1e-15\n*RES\n1 VOUT:1 VOUT:2 +Inf\n", // infinite res
 	}
 	for i, src := range cases {
-		if _, err := ReadSPEF(strings.NewReader(src), c); err == nil {
-			t.Errorf("case %d: malformed SPEF accepted", i)
+		if _, err := ReadSPEF(strings.NewReader(src), c); !errors.Is(err, fault.ErrInvalidInput) {
+			t.Errorf("case %d: malformed SPEF gave %v, want fault.ErrInvalidInput", i, err)
 		}
 	}
 }
 
 func TestWriteDEF(t *testing.T) {
-	g, res, _ := routedDesign(t)
+	g, res, _ := routedDesign(t, netlist.OTA1())
 	var buf bytes.Buffer
 	if err := WriteDEF(&buf, g, res); err != nil {
 		t.Fatal(err)
@@ -212,7 +217,7 @@ func TestWriteDEF(t *testing.T) {
 }
 
 func TestDEFDeterministic(t *testing.T) {
-	g, res, _ := routedDesign(t)
+	g, res, _ := routedDesign(t, netlist.OTA1())
 	var a, b bytes.Buffer
 	if err := WriteDEF(&a, g, res); err != nil {
 		t.Fatal(err)

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
 	"analogfold/internal/extract"
+	"analogfold/internal/fault"
 	"analogfold/internal/netlist"
 )
 
@@ -62,11 +64,11 @@ func ReadSPEF(r io.Reader, c *netlist.Circuit) (*extract.Parasitics, error) {
 		switch {
 		case strings.HasPrefix(line, "*D_NET"):
 			if len(fields) < 3 {
-				return nil, fmt.Errorf("export: spef line %d: malformed D_NET", lineNo)
+				return nil, spefErr(nil, "line %d: malformed D_NET", lineNo)
 			}
 			ni, ok := c.NetByName(fields[1])
 			if !ok {
-				return nil, fmt.Errorf("export: spef line %d: unknown net %q", lineNo, fields[1])
+				return nil, spefErr(nil, "line %d: unknown net %q", lineNo, fields[1])
 			}
 			cur = ni
 			section = ""
@@ -78,16 +80,16 @@ func ReadSPEF(r io.Reader, c *netlist.Circuit) (*extract.Parasitics, error) {
 			// header line: ignore
 		default:
 			if cur < 0 {
-				return nil, fmt.Errorf("export: spef line %d: value outside a net section", lineNo)
+				return nil, spefErr(nil, "line %d: value outside a net section", lineNo)
 			}
 			switch section {
 			case "*CAP":
 				if len(fields) < 3 {
-					return nil, fmt.Errorf("export: spef line %d: malformed cap", lineNo)
+					return nil, spefErr(nil, "line %d: malformed cap", lineNo)
 				}
-				v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+				v, err := parseParasitic(fields[len(fields)-1])
 				if err != nil {
-					return nil, fmt.Errorf("export: spef line %d: %w", lineNo, err)
+					return nil, spefErr(err, "line %d", lineNo)
 				}
 				if strings.HasSuffix(fields[1], ":gnd") {
 					p.Net[cur].C = v
@@ -95,7 +97,7 @@ func ReadSPEF(r io.Reader, c *netlist.Circuit) (*extract.Parasitics, error) {
 					a, ok1 := c.NetByName(fields[1])
 					b, ok2 := c.NetByName(fields[2])
 					if !ok1 || !ok2 {
-						return nil, fmt.Errorf("export: spef line %d: unknown coupling nets", lineNo)
+						return nil, spefErr(nil, "line %d: unknown coupling nets", lineNo)
 					}
 					if a > b {
 						a, b = b, a
@@ -104,20 +106,35 @@ func ReadSPEF(r io.Reader, c *netlist.Circuit) (*extract.Parasitics, error) {
 				}
 			case "*RES":
 				if len(fields) < 4 {
-					return nil, fmt.Errorf("export: spef line %d: malformed res", lineNo)
+					return nil, spefErr(nil, "line %d: malformed res", lineNo)
 				}
-				v, err := strconv.ParseFloat(fields[3], 64)
+				v, err := parseParasitic(fields[3])
 				if err != nil {
-					return nil, fmt.Errorf("export: spef line %d: %w", lineNo, err)
+					return nil, spefErr(err, "line %d", lineNo)
 				}
 				p.Net[cur].R = v
 			default:
-				return nil, fmt.Errorf("export: spef line %d: value outside CAP/RES section", lineNo)
+				return nil, spefErr(nil, "line %d: value outside CAP/RES section", lineNo)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("export: %w", err)
+		return nil, spefErr(err, "read")
 	}
 	return p, nil
+}
+
+// parseParasitic reads one R or C value, which must be finite and
+// non-negative.
+func parseParasitic(field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err == nil && !(v >= 0 && v <= math.MaxFloat64) {
+		err = fmt.Errorf("value %q is not finite and non-negative", field)
+	}
+	return v, err
+}
+
+// spefErr types a ReadSPEF failure as malformed input.
+func spefErr(cause error, format string, args ...any) error {
+	return fault.Wrap(fault.StageEvaluation, fault.ErrInvalidInput, cause, "export: spef "+format, args...)
 }

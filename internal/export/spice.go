@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 
+	"analogfold/internal/fault"
 	"analogfold/internal/netlist"
 )
 
@@ -112,7 +113,7 @@ func ReadSpice(r io.Reader, name string) (*netlist.Circuit, error) {
 		switch line[0] {
 		case 'M', 'm':
 			if len(fields) < 8 {
-				return nil, fmt.Errorf("export: line %d: malformed MOS card", lineNo)
+				return nil, spiceErr(nil, "line %d: malformed MOS card", lineNo)
 			}
 			typ := netlist.NMOS
 			if fields[5] == "pch" {
@@ -120,49 +121,52 @@ func ReadSpice(r io.Reader, name string) (*netlist.Circuit, error) {
 			}
 			wNm, err := parseNm(fields[6], "W=")
 			if err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+				return nil, spiceErr(err, "line %d", lineNo)
 			}
 			lNm, err := parseNm(fields[7], "L=")
 			if err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+				return nil, spiceErr(err, "line %d", lineNo)
 			}
 			id, vov := 10e-6, 0.15
 			for i := 8; i < len(fields); i++ {
 				if strings.HasPrefix(fields[i], "ID=") {
-					id, _ = strconv.ParseFloat(fields[i][3:], 64)
+					id, err = strconv.ParseFloat(fields[i][3:], 64)
 				}
 				if strings.HasPrefix(fields[i], "VOV=") {
-					vov, _ = strconv.ParseFloat(fields[i][4:], 64)
+					vov, err = strconv.ParseFloat(fields[i][4:], 64)
+				}
+				if err != nil {
+					return nil, spiceErr(err, "line %d", lineNo)
 				}
 			}
 			declareRails(b, fields[1:4])
 			b.MOS(typ, "M"+fields[0][1:], fields[1], fields[2], fields[3], wNm, lNm, id, vov)
 		case 'C', 'c':
 			if len(fields) < 4 {
-				return nil, fmt.Errorf("export: line %d: malformed cap card", lineNo)
+				return nil, spiceErr(nil, "line %d: malformed cap card", lineNo)
 			}
 			v, err := strconv.ParseFloat(fields[3], 64)
 			if err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+				return nil, spiceErr(err, "line %d", lineNo)
 			}
 			declareRails(b, fields[1:3])
 			b.Capacitor("C"+fields[0][1:], fields[1], fields[2], v)
 		case 'R', 'r':
 			if len(fields) < 4 {
-				return nil, fmt.Errorf("export: line %d: malformed res card", lineNo)
+				return nil, spiceErr(nil, "line %d: malformed res card", lineNo)
 			}
 			v, err := strconv.ParseFloat(fields[3], 64)
 			if err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+				return nil, spiceErr(err, "line %d", lineNo)
 			}
 			declareRails(b, fields[1:3])
 			b.Resistor("R"+fields[0][1:], fields[1], fields[2], v)
 		default:
-			return nil, fmt.Errorf("export: line %d: unknown card %q", lineNo, fields[0])
+			return nil, spiceErr(nil, "line %d: unknown card %q", lineNo, fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("export: %w", err)
+		return nil, spiceErr(err, "read")
 	}
 	for _, pr := range symNets {
 		b.SymNets(pr[0], pr[1])
@@ -175,7 +179,7 @@ func ReadSpice(r io.Reader, name string) (*netlist.Circuit, error) {
 	}
 	c, err := b.Build()
 	if err != nil {
-		return nil, fmt.Errorf("export: %w", err)
+		return nil, spiceErr(err, "build")
 	}
 	assign := func(key string, dst *int) error {
 		name, ok := ports[key]
@@ -184,7 +188,7 @@ func ReadSpice(r io.Reader, name string) (*netlist.Circuit, error) {
 		}
 		i, ok := c.NetByName(name)
 		if !ok {
-			return fmt.Errorf("export: port %s references unknown net %q", key, name)
+			return spiceErr(nil, "port %s references unknown net %q", key, name)
 		}
 		*dst = i
 		return nil
@@ -218,6 +222,11 @@ func declareRails(b *netlist.Builder, nets []string) {
 			b.Net(n, netlist.NetBias)
 		}
 	}
+}
+
+// spiceErr types a ReadSpice failure as malformed input.
+func spiceErr(cause error, format string, args ...any) error {
+	return fault.Wrap(fault.StageNetlist, fault.ErrInvalidInput, cause, "export: spice "+format, args...)
 }
 
 func parseNm(field, prefix string) (int, error) {

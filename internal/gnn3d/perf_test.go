@@ -2,8 +2,11 @@ package gnn3d_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"analogfold/internal/ad"
 	"analogfold/internal/gnn3d"
@@ -36,15 +39,17 @@ func perfGuidances(nets, n int, seed int64) []*tensor.Tensor {
 // TestModelSteadyStateAllocs pins the tentpole claim: once the session tape
 // is warm, a full guidance-gradient cycle (SetC → Forward → Backward) runs in
 // a handful of allocations, independent of model size. The transient path
-// allocates per op — thousands per evaluation on this fixture.
+// allocates per op — thousands per evaluation on this fixture — so the
+// session must allocate at least 5× less, and on a multi-CPU host, where wall
+// time is not dominated by scheduling, it must not be slower.
 func TestModelSteadyStateAllocs(t *testing.T) {
 	hg, m := perfFixture(t)
 	nets := len(hg.Circuit.Nets)
 	cs := perfGuidances(nets, 4, 7)
 
 	sess := gnn3d.NewInferSession(m, hg)
-	cycle := func(c *tensor.Tensor) {
-		if err := sess.SetC(c.Data); err != nil {
+	session := func(i int) {
+		if err := sess.SetC(cs[i%len(cs)].Data); err != nil {
 			t.Fatal(err)
 		}
 		pred := sess.Forward()
@@ -52,22 +57,53 @@ func TestModelSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	transient := func(i int) {
+		cv := ad.Leaf(cs[i%len(cs)].Clone(), true)
+		pred, err := m.Forward(hg, cv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ad.Backward(ad.Sum(pred)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Warm: first pass records the tape, second stabilizes the scratch pool.
-	cycle(cs[0])
-	cycle(cs[1])
+	session(0)
+	session(1)
 
-	i := 0
-	allocs := testing.AllocsPerRun(50, func() {
-		cycle(cs[i%len(cs)])
-		i++
-	})
+	perRun := func(runs int, cycle func(int)) float64 {
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			cycle(i)
+			i++
+		})
+	}
+	allocs := perRun(50, session)
 	if allocs > 8 {
 		t.Errorf("steady-state session cycle: %.1f allocs/run, want <= 8", allocs)
+	}
+	if ta := perRun(5, transient); ta < 5*math.Max(1, allocs) {
+		t.Errorf("transient cycle: %.0f allocs/run, want >= 5x the session's %.1f", ta, allocs)
 	}
 
 	hits, misses := sess.Tape().Stats()
 	if hits == 0 {
 		t.Fatalf("tape never replayed (hits=0, misses=%d)", misses)
+	}
+
+	if runtime.NumCPU() >= 2 {
+		wall := func(cycle func(int)) time.Duration {
+			t0 := time.Now()
+			for i := 0; i < 30; i++ {
+				cycle(i)
+			}
+			return time.Since(t0)
+		}
+		s, tr := wall(session), wall(transient)
+		t.Logf("30 cycles: session %v, transient %v", s, tr)
+		if s > tr {
+			t.Errorf("tape-backed session slower than the transient path: %v > %v for 30 cycles", s, tr)
+		}
 	}
 }
 
@@ -96,6 +132,29 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 					i, k, batch[i][k], seq[k])
 			}
 		}
+	}
+}
+
+// TestPredictBatchStackedAllocs pins the cost model of a serving wave: one
+// stacked PredictBatch over four members' four candidates each allocates at
+// least 2× less than four per-member calls.
+func TestPredictBatchStackedAllocs(t *testing.T) {
+	hg, m := perfFixture(t)
+	const members, perMember = 4, 4
+	cs := perfGuidances(len(hg.Circuit.Nets), members*perMember, 7)
+	predict := func(cs []*tensor.Tensor) {
+		if _, err := m.PredictBatch(hg, cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stacked := testing.AllocsPerRun(5, func() { predict(cs) })
+	split := testing.AllocsPerRun(5, func() {
+		for k := 0; k < members; k++ {
+			predict(cs[k*perMember : (k+1)*perMember])
+		}
+	})
+	if split < 2*stacked {
+		t.Errorf("stacked PredictBatch: %.0f allocs, per-member calls %.0f, want >= 2x fewer stacked", stacked, split)
 	}
 }
 
@@ -159,15 +218,22 @@ func BenchmarkModelCore(b *testing.B) {
 	session := func(m *gnn3d.Model) func(b *testing.B) {
 		return func(b *testing.B) {
 			sess := gnn3d.NewInferSession(m, hg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			cycle := func(i int) {
 				if err := sess.SetC(cs[i%len(cs)].Data); err != nil {
 					b.Fatal(err)
 				}
 				if err := ad.Backward(ad.Sum(sess.Forward())); err != nil {
 					b.Fatal(err)
 				}
+			}
+			// Warm as TestModelSteadyStateAllocs does: the first cycle records
+			// the tape, the second stabilizes the scratch pool.
+			cycle(0)
+			cycle(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle(i)
 			}
 		}
 	}

@@ -290,9 +290,8 @@ func (m *Model) Fit(ctx context.Context, g *hetgraph.Graph, samples []Sample, cf
 		}
 		rep.ValLoss = append(rep.ValLoss, vAvg)
 		if tel.Enabled() {
-			obs.Event(ctx, "gnn3d.epoch", map[string]any{
-				"epoch": ep, "train_loss": avg, "val_loss": vAvg,
-			})
+			obs.Event(ctx, "gnn3d.epoch", obs.Arg{Key: "epoch", Value: ep},
+				obs.Arg{Key: "train_loss", Value: avg}, obs.Arg{Key: "val_loss", Value: vAvg})
 			tel.Registry().Counter("analogfold_gnn3d_epochs_total").Inc()
 		}
 

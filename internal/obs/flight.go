@@ -41,20 +41,27 @@ type Arg struct {
 // for byte, in well under half a small map's bytes: the ring keeps every
 // retained event's args, so their size is most of what a busy recorder holds.
 // Events refer to them by pointer, which keeps a ring slot as small as the
-// map pointer it replaced; the ring preallocates all of its slots.
+// map pointer it replaced: a full ring holds capacity slots.
 type Args []Arg
+
+// sortedArgs sorts pairs with distinct keys by key, in place, and returns
+// them as Args; nil when there are none.
+func sortedArgs(pairs []Arg) *Args {
+	if len(pairs) == 0 {
+		return nil
+	}
+	a := Args(pairs)
+	slices.SortFunc(a, func(x, y Arg) int { return strings.Compare(x.Key, y.Key) })
+	return &a
+}
 
 // argsOf converts a map to Args; nil for an empty map.
 func argsOf(m map[string]any) *Args {
-	if len(m) == 0 {
-		return nil
-	}
-	a := make(Args, 0, len(m))
+	pairs := make([]Arg, 0, len(m))
 	for k, v := range m {
-		a = append(a, Arg{k, v})
+		pairs = append(pairs, Arg{k, v})
 	}
-	slices.SortFunc(a, func(x, y Arg) int { return strings.Compare(x.Key, y.Key) })
-	return &a
+	return sortedArgs(pairs)
 }
 
 // search returns where key is or would be inserted, and whether it is there.
@@ -120,20 +127,24 @@ func (a *Args) UnmarshalJSON(b []byte) error {
 // FlightRecorder is a bounded in-memory ring of the most recent telemetry
 // events — the always-on "what just happened" buffer served at /debug/flight
 // and dumped by -trace-out. When full, the oldest events are overwritten;
-// Dropped counts how many have been lost to wraparound.
+// Dropped counts how many have been lost to wraparound. The ring starts small
+// and doubles as events arrive, up to exactly its capacity, so a process that
+// records little holds little.
 type FlightRecorder struct {
-	mu    sync.Mutex
-	buf   []FlightEvent
-	total uint64 // events ever recorded
+	mu       sync.Mutex
+	buf      []FlightEvent
+	capacity int
+	total    uint64 // events ever recorded
 }
+
+// flightInitialSlots is the ring's first allocation.
+const flightInitialSlots = 64
 
 // NewFlightRecorder builds a recorder holding at most capacity events
 // (minimum 1).
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlightRecorder{buf: make([]FlightEvent, 0, capacity)}
+	capacity = max(capacity, 1)
+	return &FlightRecorder{buf: make([]FlightEvent, 0, min(capacity, flightInitialSlots)), capacity: capacity}
 }
 
 // Record appends an event, overwriting the oldest once the ring is full.
@@ -143,10 +154,16 @@ func (r *FlightRecorder) Record(e FlightEvent) {
 		return
 	}
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
+	switch {
+	case len(r.buf) < cap(r.buf):
 		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.total%uint64(cap(r.buf))] = e
+	case len(r.buf) < r.capacity:
+		// append's own growth could overshoot the capacity.
+		grown := make([]FlightEvent, len(r.buf), min(2*len(r.buf), r.capacity))
+		copy(grown, r.buf)
+		r.buf = append(grown, e)
+	default:
+		r.buf[r.total%uint64(r.capacity)] = e
 	}
 	r.total++
 	r.mu.Unlock()
@@ -160,11 +177,11 @@ func (r *FlightRecorder) Snapshot() []FlightEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]FlightEvent, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.capacity {
 		return append(out, r.buf...)
 	}
 	// Full ring: the oldest entry sits at the next write position.
-	start := int(r.total % uint64(cap(r.buf)))
+	start := int(r.total % uint64(r.capacity))
 	out = append(out, r.buf[start:]...)
 	out = append(out, r.buf[:start]...)
 	return out

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -79,6 +80,27 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderGrowsOnDemand pins the ring's memory: a fresh recorder at
+// the telemetry default of 8192 events holds under 64 KB, and a full one
+// holds exactly its capacity in slots, never more.
+func TestFlightRecorderGrowsOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := NewFlightRecorder(8192)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held >= 64<<10 {
+		t.Errorf("fresh recorder holds %d bytes, want < 64 KB", held)
+	}
+	for i := 0; i <= 8192; i++ {
+		r.Record(FlightEvent{TSUS: int64(i)})
+	}
+	if got := cap(r.buf); got != 8192 {
+		t.Errorf("full ring has %d slots, want exactly its capacity 8192", got)
+	}
+}
+
 func TestNilRecorderSafe(t *testing.T) {
 	var r *FlightRecorder
 	r.Record(FlightEvent{})
@@ -100,13 +122,11 @@ func TestArgsWireBytes(t *testing.T) {
 	ctx := WithTelemetry(context.Background(), tel)
 	rctx, root := StartSpan(WithRequestID(ctx, "rid-<&>"), "serve.route")
 	cctx, child := StartSpan(rctx, "relaxation")
-	Event(cctx, "relax.restart", map[string]any{
-		"restart": 3, "evals": 41, "retries": 0, "dropped": false,
-		"potential": -1.2345678901234567, "trajectory": []float64{3.5, 1e-9, -2e21},
-	})
-	Event(cctx, "route.post", nil)
-	Event(cctx, "route.empty", map[string]any{})
-	Event(rctx, "route.done", map[string]any{"wirelength_nm": 229460, "vias": 81, "z": "a<b&c>d", "iterations": 4})
+	Event(cctx, "relax.restart", Arg{"restart", 3}, Arg{"evals", 41}, Arg{"retries", 0}, Arg{"dropped", false},
+		Arg{"potential", -1.2345678901234567}, Arg{"trajectory", []float64{3.5, 1e-9, -2e21}})
+	Event(cctx, "route.post")
+	Event(cctx, "route.empty", []Arg{}...)
+	Event(rctx, "route.done", Arg{"wirelength_nm", 229460}, Arg{"vias", 81}, Arg{"z", "a<b&c>d"}, Arg{"iterations", 4})
 	child.Arg("zeta", 1).Arg("alpha", "x").Arg("zeta", 2.5).End()
 	root.Arg("bench", "OTA1-A").Arg("ok", true).End()
 	_, bare := StartSpan(ctx, "bare")
@@ -148,8 +168,8 @@ func TestArgsWireBytes(t *testing.T) {
 }
 
 // TestFlightEventSlotSize pins a ring slot to its size when args were a map
-// pointer: the ring preallocates every slot, so each byte an event grows
-// costs capacity bytes of live heap in every process with telemetry.
+// pointer: a full ring holds capacity slots, so each byte an event grows
+// costs capacity bytes of live heap in every busy process with telemetry.
 func TestFlightEventSlotSize(t *testing.T) {
 	type mapEvent struct {
 		ID, Parent, Track uint64

@@ -282,10 +282,12 @@ func (s *Span) End() {
 	}
 }
 
-// Event records an instant event under the context's active span. Callers on
-// hot paths must guard with Telemetry.Enabled before building args, so the
-// disabled path never allocates the map.
-func Event(ctx context.Context, name string, args map[string]any) {
+// Event records an instant event under the context's active span, with args
+// given as pairs with distinct keys in any order. The event keeps the args
+// slice (sorted in place), so a caller must not reuse it. Callers on hot
+// paths must guard with Telemetry.Enabled before building args, so the
+// disabled path never allocates them.
+func Event(ctx context.Context, name string, args ...Arg) {
 	t := FromContext(ctx)
 	if t == nil {
 		return
@@ -297,7 +299,7 @@ func Event(ctx context.Context, name string, args map[string]any) {
 	}
 	t.rec.Record(FlightEvent{
 		Parent: parent, Track: track, Name: name, Trace: trace,
-		Phase: PhaseInstant, TSUS: t.nowUS(), Args: argsOf(args),
+		Phase: PhaseInstant, TSUS: t.nowUS(), Args: sortedArgs(args),
 	})
 }
 

@@ -28,7 +28,7 @@ func TestSpanHierarchy(t *testing.T) {
 	if root == nil || child == nil {
 		t.Fatal("spans should be live with telemetry attached")
 	}
-	Event(ctx2, "relax.restart", map[string]any{"restart": 0, "potential": -1.5})
+	Event(ctx2, "relax.restart", Arg{"restart", 0}, Arg{"potential", -1.5})
 	child.End()
 	root.Arg("bench", "OTA1-A").End()
 
@@ -40,6 +40,9 @@ func TestSpanHierarchy(t *testing.T) {
 	inst, childEv, rootEv := evs[0], evs[1], evs[2]
 	if inst.Phase != PhaseInstant || inst.Name != "relax.restart" {
 		t.Errorf("instant event = %+v", inst)
+	}
+	if inst.Args.Get("potential") != -1.5 || inst.Args.Get("restart") != 0 {
+		t.Errorf("instant args given out of key order = %v, want them sorted and found", inst.Args)
 	}
 	if inst.Parent != childEv.ID {
 		t.Errorf("instant parent %d, want child span id %d", inst.Parent, childEv.ID)
@@ -102,7 +105,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		sctx, span := StartSpan(ctx, "stage")
 		tel := FromContext(sctx)
 		if tel.Enabled() {
-			Event(sctx, "ev", map[string]any{"x": 1})
+			Event(sctx, "ev", Arg{"x", 1})
 		}
 		c.Inc()
 		h.Observe(time.Millisecond)
@@ -125,7 +128,7 @@ func TestWriteTraceValidChrome(t *testing.T) {
 	tel := New(Options{Seed: 1, Clock: fakeClock(time.Millisecond)})
 	ctx := WithTelemetry(context.Background(), tel)
 	sctx, span := StartSpan(ctx, "placement")
-	Event(sctx, "note", nil)
+	Event(sctx, "note")
 	span.End()
 
 	var buf bytes.Buffer

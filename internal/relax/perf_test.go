@@ -112,12 +112,19 @@ func BenchmarkRelaxStep(b *testing.B) {
 	session := func(m *gnn3d.Model) func(*testing.B) {
 		return func(b *testing.B) {
 			ev := newEvaluator(m, g, cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			eval := func(i int) {
 				if _, _, err := ev.potential(xs[i%len(xs)], cfg); err != nil {
 					b.Fatal(err)
 				}
+			}
+			// Two warm-up evaluations record the tape and stabilize its
+			// scratch pool, so allocs/op is the steady state at any -benchtime.
+			eval(0)
+			eval(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eval(i)
 			}
 		}
 	}

@@ -435,15 +435,15 @@ func Optimize(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, cfg Config
 			res.Evals += o.evals
 			res.Retried += o.retries
 			if tel.Enabled() {
-				args := map[string]any{
-					"restart": base + k, "evals": o.evals,
-					"retries": o.retries, "dropped": o.err != nil,
+				args := []obs.Arg{
+					{Key: "restart", Value: base + k}, {Key: "evals", Value: o.evals},
+					{Key: "retries", Value: o.retries}, {Key: "dropped", Value: o.err != nil},
+					{Key: "potential", Value: o.pot}, {Key: "trajectory", Value: o.traj},
 				}
-				if o.err == nil {
-					args["potential"] = o.pot
-					args["trajectory"] = o.traj
+				if o.err != nil {
+					args = args[:4] // a dropped restart has no potential or trajectory
 				}
-				obs.Event(ctx, "relax.restart", args)
+				obs.Event(ctx, "relax.restart", args...)
 			}
 			if o.err != nil {
 				if fault.IsTimeout(o.err) {
@@ -458,11 +458,11 @@ func Optimize(ctx context.Context, m *gnn3d.Model, g *hetgraph.Graph, cfg Config
 			insert(o.pot, o.x)
 		}
 		if tel.Enabled() {
-			args := map[string]any{"round": base / cfg.RoundSize, "pool_size": len(pool)}
+			args := []obs.Arg{{Key: "round", Value: base / cfg.RoundSize}, {Key: "pool_size", Value: len(pool)}}
 			if len(pool) > 0 {
-				args["best_potential"] = pool[0].pot
+				args = append(args, obs.Arg{Key: "best_potential", Value: pool[0].pot})
 			}
-			obs.Event(ctx, "relax.round", args)
+			obs.Event(ctx, "relax.round", args...)
 		}
 	}
 

@@ -273,9 +273,8 @@ func (r *Router) RunCtx(ctx context.Context, gd guidance.Set) (*Result, error) {
 		conflicts := r.countConflictsAndRaiseHistory()
 		totalRipups += ripups
 		if tel.Enabled() {
-			obs.Event(ctx, "route.iteration", map[string]any{
-				"iteration": iter, "conflicts": conflicts, "ripups": ripups,
-			})
+			obs.Event(ctx, "route.iteration", obs.Arg{Key: "iteration", Value: iter},
+				obs.Arg{Key: "conflicts", Value: conflicts}, obs.Arg{Key: "ripups", Value: ripups})
 		}
 		if conflicts == 0 {
 			iter++
@@ -305,7 +304,7 @@ func (r *Router) RunCtx(ctx context.Context, gd guidance.Set) (*Result, error) {
 			r.commit(ni, cells)
 		}
 		if tel.Enabled() {
-			obs.Event(ctx, "route.post", map[string]any{"rerouted": postRerouted})
+			obs.Event(ctx, "route.post", obs.Arg{Key: "rerouted", Value: postRerouted})
 		}
 		if n := r.totalConflicts(); n > 0 {
 			return nil, fault.New(fault.StageRouting, fault.ErrRouteFailed,
@@ -332,9 +331,8 @@ func (r *Router) RunCtx(ctx context.Context, gd guidance.Set) (*Result, error) {
 	reg.Counter("analogfold_route_negotiation_iters_total").Add(int64(iter))
 	reg.Counter("analogfold_route_ripups_total").Add(int64(totalRipups))
 	if tel.Enabled() {
-		obs.Event(ctx, "route.done", map[string]any{
-			"iterations": iter, "wirelength_nm": res.WirelengthNm, "vias": res.Vias,
-		})
+		obs.Event(ctx, "route.done", obs.Arg{Key: "iterations", Value: iter},
+			obs.Arg{Key: "wirelength_nm", Value: res.WirelengthNm}, obs.Arg{Key: "vias", Value: res.Vias})
 	}
 	return res, nil
 }

@@ -116,9 +116,14 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 
 // TestCacheHitReplaysBytes pins hit behavior: the second identical request is
 // served from the cache (no new execution), byte-identical, with the hit
-// header — and a request differing in any effective option misses.
+// header — and a request differing in any effective option misses. The stub
+// takes a few milliseconds, so the concurrent stream at the end overlaps
+// in-flight executions.
 func TestCacheHitReplaysBytes(t *testing.T) {
-	_, ts, executions := cachedStubServer(t, Config{}, eliteStub)
+	_, ts, executions := cachedStubServer(t, Config{}, func(req GuidanceRequest, useModel bool) *GuidanceResponse {
+		time.Sleep(5 * time.Millisecond)
+		return eliteStub(req, useModel)
+	})
 	resp1, b1 := postJSON(t, ts.URL+"/v1/guidance", `{"bench":"OTA1-A","seed":7}`)
 	resp2, b2 := postJSON(t, ts.URL+"/v1/guidance", `{"bench":"OTA1-A","seed":7}`)
 	if g, w := resp1.Header.Get(HeaderCache), "miss"; g != w {
@@ -146,6 +151,71 @@ func TestCacheHitReplaysBytes(t *testing.T) {
 		m.num(t, "analogfold_serve_cache_misses_total"), m.num(t, "analogfold_serve_cache_entries")
 	if hits != 1 || misses != 2 || entries != 2 {
 		t.Fatalf("metrics cache hits=%d misses=%d entries=%d, want 1 hit / 2 misses / 2 entries", hits, misses, entries)
+	}
+
+	// A concurrent mixed stream — a cached key and two new ones, four
+	// requests each: only the new keys execute, and every duplicate is served
+	// as a hit or a collapse, however the requests interleave.
+	var wg sync.WaitGroup
+	for i := 0; i < 12; i++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			if resp, _ := postJSON(t, ts.URL+"/v1/guidance", fmt.Sprintf(`{"bench":"OTA1-A","seed":%d}`, seed)); resp.StatusCode != http.StatusOK {
+				t.Errorf("seed %d: status %d", seed, resp.StatusCode)
+			}
+		}([]int{7, 20, 21}[i%3])
+	}
+	wg.Wait()
+	_, m = getMetrics(t, ts.URL)
+	misses = m.num(t, "analogfold_serve_cache_misses_total")
+	dups := m.num(t, "analogfold_serve_cache_hits_total") + m.num(t, "analogfold_serve_cache_collapses_total")
+	if n := executions.Load(); n != 4 || misses != 4 || dups != 11 {
+		t.Fatalf("after the mixed stream: executions=%d misses=%d hits+collapses=%d, want 4 / 4 (one per unique key) / 11 (every duplicate)", n, misses, dups)
+	}
+}
+
+// TestCacheDuplicateHeavySpeedup gates the cache's wall-clock win on real
+// flows: a volley of 32 concurrent requests over 4 seeds (87.5% repeats) runs
+// at least 5× faster with the cache on than off, and at least one duplicate
+// collapses onto an in-flight execution. Skipped on a single-CPU host, where
+// wall time mostly measures scheduling.
+func TestCacheDuplicateHeavySpeedup(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("wall-clock gate needs a multi-CPU host")
+	}
+	model := trainedModel(t)
+	volley := func(cacheEntries int) (time.Duration, metricsBody) {
+		s := New(model, Config{Opts: testOpts(), QueueCapacity: 32, AdmissionTimeout: time.Minute, CacheEntries: cacheEntries})
+		if err := s.Warm([]string{"OTA1-A"}); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		var wg sync.WaitGroup
+		t0 := time.Now()
+		for i := 0; i < 32; i++ {
+			wg.Add(1)
+			go func(seed int) {
+				defer wg.Done()
+				if resp, b := postJSON(t, ts.URL+"/v1/guidance", fmt.Sprintf(`{"bench":"OTA1-A","seed":%d}`, seed)); resp.StatusCode != http.StatusOK {
+					t.Errorf("seed %d: status %d: %s", seed, resp.StatusCode, b)
+				}
+			}(1 + i%4)
+		}
+		wg.Wait()
+		wall := time.Since(t0)
+		_, m := getMetrics(t, ts.URL)
+		return wall, m
+	}
+	cached, m := volley(256)
+	uncached, _ := volley(0)
+	t.Logf("32 requests over 4 seeds: cached %v, uncached %v", cached, uncached)
+	if sp := uncached.Seconds() / cached.Seconds(); sp < 5 {
+		t.Errorf("duplicate-heavy speedup %.1fx (cached %v, uncached %v), want >= 5x", sp, cached, uncached)
+	}
+	if c := m.num(t, "analogfold_serve_cache_collapses_total"); c < 1 {
+		t.Errorf("no singleflight collapses among 28 concurrent duplicates")
 	}
 }
 

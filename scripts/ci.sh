@@ -7,6 +7,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# CI must leave the tracked tree as it found it: no step may rewrite a
+# committed file. Inside a git work tree, snapshot the tracked files' state
+# (status plus a checksum of their diff against HEAD) and compare at the end.
+tracked_state() { git status --porcelain --untracked-files=no && git diff HEAD | cksum; }
+tracked_before=
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  tracked_before=$(tracked_state)
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -72,10 +81,9 @@ echo "== fuzz smoke (10s per target) =="
 # Short native-fuzz budgets: enough to catch a freshly introduced panic or
 # untyped error on the input-facing surfaces (netlist builder, tensor
 # constructors, inbound traceparent, the prober's /metrics decoder, the 3DGNN
-# checkpoint decoder), a matmul
-# kernel whose bits drift from the naive reference loops, or an A* open list
-# whose pop order drifts from the swapping reference heap, cheap enough to
-# run every time.
+# checkpoint decoder, the SPICE and SPEF decoders), a matmul kernel whose bits
+# drift from the naive reference loops, or an A* open list whose pop order
+# drifts from the swapping reference heap, cheap enough to run every time.
 make fuzz-smoke
 
 echo "== benchmark smoke (router and model hot paths compile and run) =="
@@ -94,22 +102,6 @@ echo "== layered benchmark module tests =="
 # root go test ./... never reaches it: its workload smoke runs, statistics and
 # the BENCHMARK.json <-> metric-table check (TestSpecMatchesTables) run here.
 make bench-test
-
-echo "== model inference perf gate (writes BENCH_model.json) =="
-# BenchmarkModelReport gates the tape arena internally: the steady-state
-# session Forward+Backward cycle must stay within its allocs-per-run pin and
-# at >= 5x fewer allocations than the transient path (wall-time assertions
-# are skipped on degenerate hosts).
-go test -run=NONE -bench=BenchmarkModelReport -benchtime=1x .
-
-echo "== serving throughput gate (writes BENCH_serve.json) =="
-# BenchmarkServeThroughput gates batch-first serving internally: cache misses
-# must equal the unique keys of the duplicate-heavy mix (duplicates collapse
-# or hit, never re-execute), every micro-batch wave must cost exactly one
-# PredictBatch (waves == relax score-wave counter), and wave scoring must
-# allocate >= 2x less than sequential per-member scoring. Wall-clock gates
-# (>= 5x duplicate-heavy speedup) are skipped on degenerate hosts.
-go test -run=NONE -bench=BenchmarkServeThroughput -benchtime=1x .
 
 echo "== unchecked-error grep =="
 ./scripts/errcheck.sh
@@ -138,6 +130,12 @@ if ! awk '
 ' internal/serve/server.go internal/serve/dataset.go \
   internal/cluster/cluster.go internal/cluster/datagen.go; then
   echo "FAIL: work handler without a span — every HTTP work endpoint must call obs.StartSpan" >&2
+  exit 1
+fi
+
+if [ -n "$tracked_before" ] && [ "$(tracked_state)" != "$tracked_before" ]; then
+  echo "FAIL: CI changed tracked files:" >&2
+  git status --porcelain --untracked-files=no >&2
   exit 1
 fi
 
