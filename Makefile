@@ -37,9 +37,11 @@ errcheck:
 # detector with short settings; the full suite under -race is much slower.
 # ad and tensor are in the list because relax workers share a frozen model's
 # weight tensors across concurrent tape sessions — the race detector proves
-# the read-only sharing contract.
+# the read-only sharing contract. parallel, relax, route, serve and dataset
+# are not: chaos below runs every one of their tests under -race (the
+# faultinject tag only adds the chaos tests to each package's list).
 race:
-	$(GO) test -race -count=1 ./internal/obs/ ./internal/parallel/ ./internal/relax/ ./internal/circuit/ ./internal/gnn3d/ ./internal/ad/ ./internal/tensor/ ./internal/dataset/ ./internal/route/ ./internal/servecache/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=1 ./internal/obs/ ./internal/circuit/ ./internal/gnn3d/ ./internal/ad/ ./internal/tensor/ ./internal/servecache/ ./internal/cluster/
 
 # chaos compiles the deterministic fault scheduler into the injection points
 # (faultinject build tag) and runs the fault-injection suite under the race
@@ -73,17 +75,19 @@ dataset-chaos:
 
 # fuzz-smoke gives each native fuzz target a short budget: enough to catch a
 # freshly introduced panic or untyped error, cheap enough for every CI run.
+# -fuzzminimizetime caps the minimization of each new input (60s by
+# default), so the budget goes to fuzzing rather than ending inside one.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzNetlistBuild -fuzztime 10s ./internal/netlist/
-	$(GO) test -run '^$$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
-	$(GO) test -run '^$$' -fuzz FuzzMatMulKernels -fuzztime 10s ./internal/tensor/
-	$(GO) test -run '^$$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
-	$(GO) test -run '^$$' -fuzz FuzzPQHeapOrder -fuzztime 10s ./internal/route/
-	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/obs/
-	$(GO) test -run '^$$' -fuzz FuzzParseHealth -fuzztime 10s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s ./internal/gnn3d/
-	$(GO) test -run '^$$' -fuzz FuzzReadSpice -fuzztime 10s ./internal/export/
-	$(GO) test -run '^$$' -fuzz FuzzReadSPEF -fuzztime 10s ./internal/export/
+	$(GO) test -run '^$$' -fuzz FuzzNetlistBuild -fuzztime 10s -fuzzminimizetime 2s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s -fuzzminimizetime 2s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzMatMulKernels -fuzztime 10s -fuzzminimizetime 2s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzTapeReset -fuzztime 10s -fuzzminimizetime 2s ./internal/ad/
+	$(GO) test -run '^$$' -fuzz FuzzPQHeapOrder -fuzztime 10s -fuzzminimizetime 2s ./internal/route/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s -fuzzminimizetime 2s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzParseHealth -fuzztime 10s -fuzzminimizetime 2s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzModelLoad -fuzztime 10s -fuzzminimizetime 2s ./internal/gnn3d/
+	$(GO) test -run '^$$' -fuzz FuzzReadSpice -fuzztime 10s -fuzzminimizetime 2s ./internal/export/
+	$(GO) test -run '^$$' -fuzz FuzzReadSPEF -fuzztime 10s -fuzzminimizetime 2s ./internal/export/
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -45,7 +45,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -169,13 +168,12 @@ type Coordinator struct {
 	met      metrics
 	ops      serve.Ops
 	lat      obs.Histogram // proxy latencies behind the adaptive hedge budget
-	slo      *obs.SLO
-	stages   *obs.StageMetrics
+	// front is the work endpoints' request front; dsFront /v1/dataset's,
+	// which keeps dataset jobs out of the proxy path's SLO and stages.
+	front, dsFront serve.Front
 
-	stopc    chan struct{}
-	wg       sync.WaitGroup
-	draining sync.Once
-	drained  chan struct{}
+	stopc chan struct{}
+	wg    sync.WaitGroup
 }
 
 // New builds a coordinator over the configured replica set.
@@ -194,16 +192,17 @@ func New(cfg Config) *Coordinator {
 		reg = obs.NewRegistry()
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		client:  &http.Client{Transport: tr},
-		stopc:   make(chan struct{}),
-		drained: make(chan struct{}),
-		stages:  obs.NewStageMetrics(reg, "analogfold_cluster"),
+		cfg:    cfg,
+		client: &http.Client{Transport: tr},
+		stopc:  make(chan struct{}),
 	}
-	c.slo = obs.NewSLO(obs.SLOConfig{LatencyTarget: cfg.SLOLatency, Availability: cfg.SLOAvailability})
-	c.slo.Register(reg, "analogfold_cluster")
-	c.ops = serve.Ops{Registry: reg, Telemetry: cfg.Telemetry, SLO: c.slo, SLOPrefix: "analogfold_cluster",
-		Drained: c.drained, Log: c.logw}
+	slo := obs.NewSLO(obs.SLOConfig{LatencyTarget: cfg.SLOLatency, Availability: cfg.SLOAvailability})
+	slo.Register(reg, "analogfold_cluster")
+	c.ops = serve.Ops{Registry: reg, Telemetry: cfg.Telemetry, SLO: slo, SLOPrefix: "analogfold_cluster",
+		Drained: make(chan struct{}), DrainTimeout: cfg.DrainTimeout, Log: c.logw}
+	c.front = serve.Front{Telemetry: cfg.Telemetry, SLO: slo,
+		Stages: obs.NewStageMetrics(reg, "analogfold_cluster")}
+	c.dsFront = serve.Front{Telemetry: cfg.Telemetry}
 	for _, u := range cfg.Replicas {
 		c.replicas = append(c.replicas, newReplica(u))
 	}
@@ -492,182 +491,128 @@ func (c *Coordinator) race(ctx context.Context, cands []*replica, key uint64,
 	}
 }
 
-// statusWriter records the final status so handleWork can keep the
-// accepted == answered + shed invariant without trusting each branch to
-// count itself.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
 // handleWork is the proxy path for both work endpoints.
 func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
-	sw := &statusWriter{ResponseWriter: w}
 	c.met.accepted.Add(1)
-	handlerStart := time.Now()
+	status := 0
 	defer func() {
 		// Every accepted request is accounted exactly once: a 503 of any
 		// provenance (replica shed passthrough, local-fallback shed, full
 		// outage with no fallback) is a shed, everything else an answer.
-		if sw.status == http.StatusServiceUnavailable {
+		if status == http.StatusServiceUnavailable {
 			c.met.shed.Add(1)
 		} else {
 			c.met.answered.Add(1)
 		}
-		c.slo.Record(time.Since(handlerStart), sw.status < http.StatusInternalServerError)
 	}()
-
-	if r.Method != http.MethodPost {
-		sw.Header().Set("Allow", http.MethodPost)
-		serve.RespondJSON(sw, http.StatusMethodNotAllowed, serve.ErrorBody{Error: serve.ErrorDetail{
-			Kind: "method not allowed", Msg: "use POST"}})
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	var breq struct {
 		Bench string `json:"bench"`
 	}
-	if err == nil {
-		err = json.Unmarshal(body, &breq)
-	}
-	if err != nil {
-		serve.RespondError(sw, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"), 0)
-		return
-	}
+	status = c.front.Serve(w, r, &breq, func(w http.ResponseWriter, r *http.Request, body []byte) {
+		start := time.Now()
+		ctx, span := obs.StartSpan(r.Context(), "cluster.proxy")
+		defer span.Arg("bench", breq.Bench).Arg("path", r.URL.Path).End()
+		stages := obs.StagesFrom(ctx)
 
-	reqID := r.Header.Get(serve.HeaderRequestID)
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	sw.Header().Set(serve.HeaderRequestID, reqID)
-	ctx := obs.WithRequestID(r.Context(), reqID)
-	ctx = obs.WithTelemetry(ctx, c.cfg.Telemetry)
-	// A caller-sent traceparent (another tier, a tracing client) makes the
-	// proxy span a child of the caller's trace instead of a new root.
-	if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.HeaderTraceparent)); ok {
-		ctx = obs.WithRemoteParent(ctx, tc)
-	}
-	var stages *obs.StageBreakdown
-	if c.cfg.Telemetry.Enabled() {
-		stages = &obs.StageBreakdown{}
-		ctx = obs.WithStages(ctx, stages)
-		defer func() { c.stages.Record(stages, reqID) }()
-	}
-	ctx, span := obs.StartSpan(ctx, "cluster.proxy")
-	defer span.Arg("bench", breq.Bench).Arg("path", r.URL.Path).End()
-
-	// finishTiming attributes everything the coordinator added on top of the
-	// winning attempt's round trip — candidate ranking, failover backoffs,
-	// hedge waits — to the proxy stage and sets the response timing header:
-	// the replica's own stage breakdown with the proxy overhead appended.
-	finishTiming := func(res *attemptResult) {
-		if stages == nil {
-			return
-		}
-		if overhead := time.Since(handlerStart) - res.dur; overhead > 0 {
-			stages.Add(obs.StageProxy, overhead)
-		}
-		timing := res.header.Get(serve.HeaderTiming)
-		if own := stages.TimingHeader(); own != "" {
+		// finishTiming attributes everything the coordinator added on top of the
+		// winning attempt's round trip — candidate ranking, failover backoffs,
+		// hedge waits — to the proxy stage and sets the response timing header:
+		// the replica's own stage breakdown with the proxy overhead appended.
+		finishTiming := func(res *attemptResult) {
+			if stages == nil {
+				return
+			}
+			if overhead := time.Since(start) - res.dur; overhead > 0 {
+				stages.Add(obs.StageProxy, overhead)
+			}
+			timing := res.header.Get(serve.HeaderTiming)
+			if own := stages.TimingHeader(); own != "" {
+				if timing != "" {
+					timing += ", " + own
+				} else {
+					timing = own
+				}
+			}
 			if timing != "" {
-				timing += ", " + own
+				w.Header().Set(serve.HeaderTiming, timing)
+			}
+		}
+
+		// Each proxied attempt gets AttemptTimeout. Any answer below 500 is good
+		// evidence of the replica's health and feeds the adaptive hedge budget.
+		try := func(ctx context.Context, rep *replica, hedged bool) *attemptResult {
+			ctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+			defer cancel()
+			res := c.post(ctx, "cluster.attempt", rep, r.URL.Path, body, hedged)
+			if res.err == nil && res.status < http.StatusInternalServerError {
+				rep.markSuccess()
+				c.lat.Observe(res.dur)
+			}
+			return res
+		}
+		key := Digest(breq.Bench)
+		res, stats := c.race(ctx, c.candidates(key), key, c.hedgeDelay, c.cfg.MaxHedges, try,
+			func(res *attemptResult) bool { return !retryable(res) })
+		c.met.failovers.Add(stats.failovers)
+		c.met.hedges.Add(stats.hedges)
+		// A replica's final answer (2xx, 4xx) is forwarded verbatim. So is a
+		// deliberate shed as the ladder's last word: cluster-wide backpressure is
+		// not an outage, so the 503 and its hash-jittered Retry-After pass through
+		// instead of the overload landing on the coordinator's own CPU.
+		if res != nil && res.err == nil && (!retryable(res) || res.status == http.StatusServiceUnavailable) {
+			if res.status == http.StatusServiceUnavailable {
+				span.Arg("outcome", "shed")
 			} else {
-				timing = own
+				c.met.proxied.Add(1)
+				if res.hedged {
+					c.met.hedgeWins.Add(1)
+				}
 			}
-		}
-		if timing != "" {
-			sw.Header().Set(serve.HeaderTiming, timing)
-		}
-	}
-
-	// Each proxied attempt gets AttemptTimeout. Any answer below 500 is good
-	// evidence of the replica's health and feeds the adaptive hedge budget.
-	try := func(ctx context.Context, rep *replica, hedged bool) *attemptResult {
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-		defer cancel()
-		res := c.post(ctx, "cluster.attempt", rep, r.URL.Path, body, hedged)
-		if res.err == nil && res.status < http.StatusInternalServerError {
-			rep.markSuccess()
-			c.lat.Observe(res.dur)
-		}
-		return res
-	}
-	key := Digest(breq.Bench)
-	res, stats := c.race(ctx, c.candidates(key), key, c.hedgeDelay, c.cfg.MaxHedges, try,
-		func(res *attemptResult) bool { return !retryable(res) })
-	c.met.failovers.Add(stats.failovers)
-	c.met.hedges.Add(stats.hedges)
-	// A replica's final answer (2xx, 4xx) is forwarded verbatim. So is a
-	// deliberate shed as the ladder's last word: cluster-wide backpressure is
-	// not an outage, so the 503 and its hash-jittered Retry-After pass through
-	// instead of the overload landing on the coordinator's own CPU.
-	if res != nil && res.err == nil && (!retryable(res) || res.status == http.StatusServiceUnavailable) {
-		if res.status == http.StatusServiceUnavailable {
-			span.Arg("outcome", "shed")
-		} else {
-			c.met.proxied.Add(1)
-			if res.hedged {
-				c.met.hedgeWins.Add(1)
-			}
-		}
-		span.Arg("replica", res.rep.url)
-		copyHeader(sw.Header(), res.header, "Content-Type")
-		copyHeader(sw.Header(), res.header, "Retry-After")
-		// The replica's cache verdict passes through so clients observe
-		// hit/miss/collapsed across the proxy: rendezvous sharding sends a
-		// key to the same replica every time, which is exactly what makes
-		// per-replica caches compose into one cluster-wide cache.
-		copyHeader(sw.Header(), res.header, serve.HeaderCache)
-		sw.Header().Set(HeaderReplica, res.rep.url)
-		finishTiming(res)
-		sw.WriteHeader(res.status)
-		sw.Write(res.body)
-		return
-	}
-
-	// Every replica attempt failed — transport errors, timeouts, or a 5xx
-	// other than a shed on the last rung — or none exist: the last rung is
-	// the embedded nil-model ladder — degrade the answer rather than error it.
-	if c.local != nil {
-		c.met.localFallback.Add(1)
-		c.logw(ctx, "all replicas failed; serving from local degradation ladder",
-			"bench", breq.Bench, "failovers", stats.failovers)
-		span.Arg("replica", "local")
-		sw.Header().Set(HeaderReplica, "local")
-		lr, lerr := http.NewRequestWithContext(ctx, http.MethodPost, r.URL.Path, bytes.NewReader(body))
-		if lerr != nil {
-			serve.RespondError(sw, fault.Wrap(fault.StageServe, fault.ErrOverload, lerr, "local fallback"), 0)
+			span.Arg("replica", res.rep.url)
+			copyHeader(w.Header(), res.header, "Content-Type")
+			copyHeader(w.Header(), res.header, "Retry-After")
+			// The replica's cache verdict passes through so clients observe
+			// hit/miss/collapsed across the proxy: rendezvous sharding sends a
+			// key to the same replica every time, which is exactly what makes
+			// per-replica caches compose into one cluster-wide cache.
+			copyHeader(w.Header(), res.header, serve.HeaderCache)
+			w.Header().Set(HeaderReplica, res.rep.url)
+			finishTiming(res)
+			w.WriteHeader(res.status)
+			w.Write(res.body)
 			return
 		}
-		lr.Header.Set("Content-Type", "application/json")
-		lr.Header.Set(serve.HeaderRequestID, reqID)
-		// The embedded server is in-process: with a shared Telemetry its spans
-		// land in the same flight recorder, and the injected traceparent
-		// parents them under this proxy span — no trailer round trip needed.
-		obs.InjectTraceparent(ctx, lr.Header)
-		c.local.ServeHTTP(sw, lr)
-		return
-	}
-	var cause error
-	if res != nil {
-		cause = res.err
-	}
-	serve.RespondError(sw, fault.Wrap(fault.StageServe, fault.ErrOverload, cause,
-		"no replica available (%d attempts)", stats.failovers+1), 0)
+
+		// Every replica attempt failed — transport errors, timeouts, or a 5xx
+		// other than a shed on the last rung — or none exist: the last rung is
+		// the embedded nil-model ladder — degrade the answer rather than error it.
+		if c.local != nil {
+			c.met.localFallback.Add(1)
+			c.logw(ctx, "all replicas failed; serving from local degradation ladder",
+				"bench", breq.Bench, "failovers", stats.failovers)
+			span.Arg("replica", "local")
+			w.Header().Set(HeaderReplica, "local")
+			lr, lerr := http.NewRequestWithContext(ctx, http.MethodPost, r.URL.Path, bytes.NewReader(body))
+			if lerr != nil {
+				serve.RespondError(w, fault.Wrap(fault.StageServe, fault.ErrOverload, lerr, "local fallback"), 0)
+				return
+			}
+			lr.Header.Set("Content-Type", "application/json")
+			lr.Header.Set(serve.HeaderRequestID, obs.RequestID(ctx))
+			// The embedded server is in-process: with a shared Telemetry its spans
+			// land in the same flight recorder, and the injected traceparent
+			// parents them under this proxy span — no trailer round trip needed.
+			obs.InjectTraceparent(ctx, lr.Header)
+			c.local.ServeHTTP(w, lr)
+			return
+		}
+		var cause error
+		if res != nil {
+			cause = res.err
+		}
+		serve.RespondError(w, fault.Wrap(fault.StageServe, fault.ErrOverload, cause,
+			"no replica available (%d attempts)", stats.failovers+1), 0)
+	})
 }
 
 func copyHeader(dst, src http.Header, key string) {
@@ -689,33 +634,16 @@ func (c *Coordinator) logw(ctx context.Context, msg string, args ...any) {
 }
 
 // Serve runs the coordinator on the listener until ctx is canceled, then
-// drains: /readyz flips to 503, in-flight proxies get DrainTimeout to
-// finish, probers stop, and outbound idle connections close — the goroutine
-// set returns to its pre-Serve state (chaos-asserted).
+// drains (serve.Ops.Serve): /readyz flips to 503 and in-flight proxies get
+// DrainTimeout to finish. Then probers stop and outbound idle connections
+// close — the goroutine set returns to its pre-Serve state (chaos-asserted).
 func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: c.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		c.stopProbers()
-		return err
-	case <-ctx.Done():
-	}
-	c.draining.Do(func() { close(c.drained) })
-	dctx, cancel := context.WithTimeout(context.Background(), c.cfg.DrainTimeout)
-	defer cancel()
-	err := hs.Shutdown(dctx)
-	if err != nil {
-		hs.Close()
-	}
-	<-errc // http.ErrServerClosed
-	c.stopProbers()
-	return err
+	defer c.stopProbers()
+	return c.ops.Serve(ctx, ln, c.Handler(), nil)
 }
 
 // stopProbers ends the health loops and closes idle outbound connections.
-// Idempotent via the draining Once's channel double-close guard.
+// Idempotent: a closed stopc is not closed again.
 func (c *Coordinator) stopProbers() {
 	select {
 	case <-c.stopc:

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"time"
@@ -272,47 +271,24 @@ const HeaderResumed = "X-Analogfold-Shards-Resumed"
 // handleWork's accepted/answered/shed accounting: dataset jobs are
 // minutes-scale batch work with their own reconciliation invariant.
 func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		serve.RespondJSON(w, http.StatusMethodNotAllowed, serve.ErrorBody{Error: serve.ErrorDetail{
-			Kind: "method not allowed", Msg: "use POST"}})
-		return
-	}
 	var req DatasetRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
-	if err != nil {
-		serve.RespondError(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"), 0)
-		return
-	}
-	reqID := r.Header.Get(serve.HeaderRequestID)
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set(serve.HeaderRequestID, reqID)
-	ctx := obs.WithRequestID(r.Context(), reqID)
-	ctx = obs.WithTelemetry(ctx, c.cfg.Telemetry)
-	if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.HeaderTraceparent)); ok {
-		ctx = obs.WithRemoteParent(ctx, tc)
-	}
-	ctx, span := obs.StartSpan(ctx, "cluster.dataset")
-	defer span.Arg("bench", req.Bench).End()
-
-	ds, rep, err := c.GenerateDataset(ctx, req)
-	if err != nil {
-		serve.RespondError(w, err, 0)
-		return
-	}
-	out, err := ds.Marshal()
-	if err != nil {
-		serve.RespondError(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "marshal dataset"), 0)
-		return
-	}
-	span.Arg("shards", rep.Shards).Arg("resumed", rep.Resumed)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderResumed, obs.Itoa(int64(rep.Resumed)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
+	c.dsFront.Serve(w, r, &req, func(w http.ResponseWriter, r *http.Request, _ []byte) {
+		ctx, span := obs.StartSpan(r.Context(), "cluster.dataset")
+		defer span.Arg("bench", req.Bench).End()
+		ds, rep, err := c.GenerateDataset(ctx, req)
+		if err != nil {
+			serve.RespondError(w, err, 0)
+			return
+		}
+		out, err := ds.Marshal()
+		if err != nil {
+			serve.RespondError(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "marshal dataset"), 0)
+			return
+		}
+		span.Arg("shards", rep.Shards).Arg("resumed", rep.Resumed)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set(HeaderResumed, obs.Itoa(int64(rep.Resumed)))
+		w.WriteHeader(http.StatusOK)
+		w.Write(out)
+	})
 }

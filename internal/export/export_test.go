@@ -84,15 +84,30 @@ func TestSpiceRoundTripSimulation(t *testing.T) {
 	}
 }
 
+// badValueDecks are decks that parse but carry a device value the builder
+// must refuse: NaN, infinite, zero or negative.
+var badValueDecks = []string{
+	"C1 A B NaN\n",
+	"C1 A B +Inf\n",
+	"C1 A B 0\n",
+	"R1 A B -1\n",
+	"R1 A B Inf\n",
+	"M1 D G S VSS nch W=-100n L=40n\n",
+	"M1 D G S VSS nch W=100n L=0n\n",
+	"M1 D G S VSS nch W=100n L=40n $ ID=NaN VOV=0.1\n",
+	"M1 D G S VSS nch W=100n L=40n $ ID=-1e-5 VOV=0.1\n",
+	"M1 D G S VSS nch W=100n L=40n $ ID=1e-5 VOV=Inf\n",
+}
+
 func TestReadSpiceRejectsMalformed(t *testing.T) {
-	cases := []string{
+	cases := append([]string{
 		"Q1 a b c\n",                // unknown card
 		"M1 d g s b nch W=100n\n",   // missing L
 		"C1 a\n",                    // missing value
 		"R1 a b notanumber\n",       // bad value
 		"M1 d g s b nch W=x L=4n\n", // bad width
 		"M1 d g s b nch W=100n L=40n $ ID=banana VOV=0.1\n", // bad bias
-	}
+	}, badValueDecks...)
 	for i, src := range cases {
 		if _, err := ReadSpice(strings.NewReader(src), "bad"); !errors.Is(err, fault.ErrInvalidInput) {
 			t.Errorf("case %d: malformed deck gave %v, want fault.ErrInvalidInput", i, err)

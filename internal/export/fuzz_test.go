@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"analogfold/internal/fault"
@@ -14,8 +15,10 @@ import (
 func fuzzCircuits() []*netlist.Circuit { return append(netlist.Benchmarks(), netlist.OTA5()) }
 
 // FuzzReadSpice drives the SPICE deck decoder with arbitrary bytes, seeded
-// with WriteSpice's decks for OTA1-5. The contract: never panic; either
-// return a circuit that validates or a typed fault.ErrInvalidInput.
+// with WriteSpice's decks for OTA1-5 and with decks carrying invalid device
+// values. The contract: never panic; either return a circuit that validates
+// and whose device sizes, bias currents and passive values are finite and
+// positive, or a typed fault.ErrInvalidInput.
 func FuzzReadSpice(f *testing.F) {
 	for _, c := range fuzzCircuits() {
 		var buf bytes.Buffer
@@ -23,6 +26,9 @@ func FuzzReadSpice(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	for _, deck := range badValueDecks {
+		f.Add([]byte(deck))
 	}
 	f.Fuzz(func(t *testing.T, deck []byte) {
 		c, err := ReadSpice(bytes.NewReader(deck), "fuzz")
@@ -34,6 +40,20 @@ func FuzzReadSpice(f *testing.F) {
 		}
 		if err := c.Validate(); err != nil {
 			t.Fatalf("decoded circuit does not validate: %v", err)
+		}
+		for _, d := range c.Devices {
+			vals := []float64{d.CapF}
+			switch d.Type {
+			case netlist.PMOS, netlist.NMOS:
+				vals = []float64{float64(d.W), float64(d.L), d.ID}
+			case netlist.Res:
+				vals = []float64{d.ResOhm}
+			}
+			for _, v := range vals {
+				if !(v > 0) || math.IsInf(v, 1) {
+					t.Fatalf("decoded device %s carries value %v", d.Name, v)
+				}
+			}
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"math"
+
 	"analogfold/internal/fault"
 	"analogfold/internal/geom"
 )
@@ -138,11 +140,30 @@ func synthPinShapes(d *Device) map[string][]geom.Rect {
 	return m
 }
 
+// positive reports whether v is finite and > 0, recording an error when
+// not. Device values also come from parsed decks (export.ReadSpice), and a
+// NaN, infinite, zero or negative size, bias current or passive value would
+// otherwise validate and only surface as NaN metrics from the MNA solve.
+func (b *Builder) positive(dev, what string, v float64) bool {
+	if v > 0 && !math.IsInf(v, 1) {
+		return true
+	}
+	b.fail("netlist builder: device %s: %s = %v, want finite and > 0", dev, what, v)
+	return false
+}
+
 // MOS adds a transistor. d/g/s are net names; w,l in nm; id in amps; vov in
-// volts.
+// volts. W, L and ID must be finite and positive, vov finite.
 func (b *Builder) MOS(typ DeviceType, name, d, g, s string, w, l int, id, vov float64) int {
 	if typ != PMOS && typ != NMOS {
 		b.fail("netlist builder: MOS %s requires PMOS or NMOS", name)
+		return -1
+	}
+	if !b.positive(name, "W", float64(w)) || !b.positive(name, "L", float64(l)) || !b.positive(name, "ID", id) {
+		return -1
+	}
+	if math.IsNaN(vov) || math.IsInf(vov, 0) {
+		b.fail("netlist builder: device %s: VOV = %v, want finite", name, vov)
 		return -1
 	}
 	cw, ch := mosFootprint(w)
@@ -155,8 +176,11 @@ func (b *Builder) MOS(typ DeviceType, name, d, g, s string, w, l int, id, vov fl
 	return b.addDevice(dev, map[string]string{"D": d, "G": g, "S": s})
 }
 
-// Capacitor adds a two-terminal capacitor of value f farads.
+// Capacitor adds a two-terminal capacitor of value f farads (finite, > 0).
 func (b *Builder) Capacitor(name, p, n string, f float64) int {
+	if !b.positive(name, "C", f) {
+		return -1
+	}
 	side := roundUpQuantum(2200)
 	if f > 0.8e-12 {
 		side = roundUpQuantum(3200)
@@ -165,8 +189,11 @@ func (b *Builder) Capacitor(name, p, n string, f float64) int {
 	return b.addDevice(dev, map[string]string{"P": p, "N": n})
 }
 
-// Resistor adds a two-terminal resistor of value ohms.
+// Resistor adds a two-terminal resistor of value ohms (finite, > 0).
 func (b *Builder) Resistor(name, p, n string, ohms float64) int {
+	if !b.positive(name, "R", ohms) {
+		return -1
+	}
 	dev := &Device{Name: name, Type: Res, ResOhm: ohms,
 		CellW: roundUpQuantum(1100), CellH: roundUpQuantum(2400)}
 	return b.addDevice(dev, map[string]string{"P": p, "N": n})

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"analogfold/internal/fault"
@@ -30,10 +31,32 @@ func (r *fuzzReader) name(pool []string) string { return pool[int(r.byte())%len(
 
 func (r *fuzzReader) small() int { return int(r.byte()) * 100 }
 
+// value decodes a device value in units of scale. Bytes 0-4 give the values
+// the builder must refuse (zero, NaN, +Inf, -Inf, negative), every other byte
+// a positive multiple of scale; ok reports which.
+func (r *fuzzReader) value(scale float64) (v float64, ok bool) {
+	switch b := r.byte(); b {
+	case 0:
+		return 0, false
+	case 1:
+		return math.NaN(), false
+	case 2:
+		return math.Inf(1), false
+	case 3:
+		return math.Inf(-1), false
+	case 4:
+		return -scale, false
+	default:
+		return float64(b) * scale, true
+	}
+}
+
 // FuzzNetlistBuild drives the circuit builder with arbitrary operation
 // streams. The contract: Build either returns a circuit that validates, or a
-// typed fault.ErrInvalidInput — never a panic, never an untyped error. This
-// is the same surface a malformed SPICE deck reaches via export.ParseSPICE.
+// typed fault.ErrInvalidInput — never a panic, never an untyped error — and
+// a stream that passed a zero, negative, NaN or infinite width, bias current,
+// capacitance or resistance always gets the error. This is the same surface a
+// malformed SPICE deck reaches via export.ReadSpice.
 func FuzzNetlistBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
@@ -59,6 +82,7 @@ func FuzzNetlistBuild(f *testing.F) {
 		}()
 		b := NewBuilder("fuzz")
 		r := &fuzzReader{data: data}
+		bad := false // an invalid device value was passed
 		for r.pos < len(r.data) {
 			switch r.byte() % 7 {
 			case 0:
@@ -66,18 +90,24 @@ func FuzzNetlistBuild(f *testing.F) {
 				if r.byte()%2 == 0 {
 					typ = NMOS
 				}
-				b.MOS(typ, r.name(devs), r.name(nets), r.name(nets), r.name(nets),
-					r.small(), 40, 1e-5, 0.2)
+				name, d, g, src, w := r.name(devs), r.name(nets), r.name(nets), r.name(nets), r.small()
+				id, ok := r.value(1e-6)
+				bad = bad || w <= 0 || !ok
+				b.MOS(typ, name, d, g, src, w, 40, id, 0.2)
 			case 1:
 				// Deliberately invalid device type for MOS.
 				b.MOS(Cap, r.name(devs), r.name(nets), r.name(nets), r.name(nets),
 					r.small(), 40, 1e-5, 0.2)
 			case 2:
-				b.Capacitor(r.name(devs), r.name(nets), r.name(nets),
-					float64(r.small())*1e-15)
+				name, p, n := r.name(devs), r.name(nets), r.name(nets)
+				f, ok := r.value(100e-15)
+				bad = bad || !ok
+				b.Capacitor(name, p, n, f)
 			case 3:
-				b.Resistor(r.name(devs), r.name(nets), r.name(nets),
-					float64(r.small()))
+				name, p, n := r.name(devs), r.name(nets), r.name(nets)
+				ohms, ok := r.value(100)
+				bad = bad || !ok
+				b.Resistor(name, p, n, ohms)
 			case 4:
 				b.SymNets(r.name(nets), r.name(nets))
 			case 5:
@@ -87,6 +117,9 @@ func FuzzNetlistBuild(f *testing.F) {
 			}
 		}
 		c, err := b.Build()
+		if bad && err == nil {
+			t.Fatal("Build accepted a non-finite or non-positive device value")
+		}
 		if err != nil {
 			if !errors.Is(err, fault.ErrInvalidInput) {
 				t.Fatalf("Build error is not typed ErrInvalidInput: %v", err)

@@ -175,6 +175,48 @@ func TestCacheHitReplaysBytes(t *testing.T) {
 	}
 }
 
+// TestCacheOffChangesOnlyHeader pins that the cache is invisible on the wire
+// but for its header: a daemon with caching off and one with it on answer the
+// same /v1/guidance and /v1/route requests with the same status and body
+// bytes, and only the cached daemon sets X-Analogfold-Cache. The work is
+// stubbed so route bodies carry no wall-clock runtime.
+func TestCacheOffChangesOnlyHeader(t *testing.T) {
+	serve := func(cacheEntries int) string {
+		s := New(nil, Config{Opts: testOpts(), CacheEntries: cacheEntries})
+		if err := s.Warm([]string{"OTA1-A"}); err != nil {
+			t.Fatal(err)
+		}
+		s.doGuidance = func(_ context.Context, _ *core.Flow, _ *hetgraph.Graph, req GuidanceRequest, useModel bool) (*GuidanceResponse, error) {
+			return eliteStub(req, useModel), nil
+		}
+		s.doRoute = func(_ context.Context, _ *core.Flow, _ *hetgraph.Graph, req RouteRequest, _ bool) (*RouteResponse, *core.Outcome, error) {
+			return &RouteResponse{Bench: req.Bench, Seed: req.Seed, Rung: string(core.RungElite),
+				WirelengthNm: 1234, Vias: 5, GainDB: 40.5, RuntimeMS: 1}, okOutcome(), nil
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	off, on := serve(0), serve(64)
+	for _, path := range []string{"/v1/guidance", "/v1/route"} {
+		const req = `{"bench":"OTA1-A","seed":7}`
+		respOff, bodyOff := postJSON(t, off+path, req)
+		if _, ok := respOff.Header[HeaderCache]; ok {
+			t.Errorf("%s: cache-off daemon set %s: %q", path, HeaderCache, respOff.Header.Get(HeaderCache))
+		}
+		for i, want := range []string{"miss", "hit"} {
+			respOn, bodyOn := postJSON(t, on+path, req)
+			if respOn.StatusCode != respOff.StatusCode || !bytes.Equal(bodyOn, bodyOff) {
+				t.Errorf("%s request %d: cache on = %d %q, cache off = %d %q", path, i,
+					respOn.StatusCode, bodyOn, respOff.StatusCode, bodyOff)
+			}
+			if got := respOn.Header.Get(HeaderCache); got != want {
+				t.Errorf("%s request %d: %s = %q, want %q", path, i, HeaderCache, got, want)
+			}
+		}
+	}
+}
+
 // TestCacheDuplicateHeavySpeedup gates the cache's wall-clock win on real
 // flows: a volley of 32 concurrent requests over 4 seeds (87.5% repeats) runs
 // at least 5× faster with the cache on than off, and at least one duplicate

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"analogfold/internal/dataset"
 	"analogfold/internal/fault"
@@ -56,29 +55,20 @@ func (s *Server) GenerateShardLocal(ctx context.Context, req ShardRequest) (*dat
 // circuit breaker.
 func (s *Server) handleDatasetShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	release, ok := s.admit(w, r, &req)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	defer func() { s.met.shard.Observe(time.Since(start)) }()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	ctx, span := obs.StartSpan(obs.WithTelemetry(ctx, s.cfg.Telemetry), "serve.dataset.shard")
-	defer span.Arg("bench", req.Bench).End()
-
-	sr, err := s.GenerateShardLocal(ctx, req)
-	if err != nil {
-		RespondError(w, err, 0)
-		return
-	}
-	s.met.shardRequests.Add(1)
-	s.met.shardEntries.Add(int64(len(sr.Entries)))
-	s.met.shardDropped.Add(int64(sr.Dropped))
-	s.logCtx(ctx, "dataset shard labeled",
-		"bench", req.Bench, "index", req.Index, "lo", req.Lo, "hi", req.Hi,
-		"entries", len(sr.Entries), "dropped", sr.Dropped)
-	RespondJSON(w, http.StatusOK, sr)
+	s.serveAdmitted(w, r, &req, s.met.shard, func(ctx context.Context, w http.ResponseWriter) {
+		ctx, span := obs.StartSpan(ctx, "serve.dataset.shard")
+		defer span.Arg("bench", req.Bench).End()
+		sr, err := s.GenerateShardLocal(ctx, req)
+		if err != nil {
+			RespondError(w, err, 0)
+			return
+		}
+		s.met.shardRequests.Add(1)
+		s.met.shardEntries.Add(int64(len(sr.Entries)))
+		s.met.shardDropped.Add(int64(sr.Dropped))
+		s.logCtx(ctx, "dataset shard labeled",
+			"bench", req.Bench, "index", req.Index, "lo", req.Lo, "hi", req.Hi,
+			"entries", len(sr.Entries), "dropped", sr.Dropped)
+		RespondJSON(w, http.StatusOK, sr)
+	})
 }

@@ -33,11 +33,6 @@ type metrics struct {
 	shardRequests *obs.Counter
 	shardEntries  *obs.Counter
 	shardDropped  *obs.Counter
-
-	// stages aggregates every request's latency attribution (queue wait,
-	// batch wait, cache, relax, route, score) into per-stage histograms with
-	// slowest-exemplar capture.
-	stages *obs.StageMetrics
 }
 
 func newMetrics(reg *obs.Registry) metrics {
@@ -66,7 +61,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		shardRequests:   reg.Counter("analogfold_serve_dataset_shards_total"),
 		shardEntries:    reg.Counter("analogfold_serve_dataset_entries_total"),
 		shardDropped:    reg.Counter("analogfold_serve_dataset_dropped_total"),
-		stages:          obs.NewStageMetrics(reg, "analogfold_serve"),
 	}
 }
 

@@ -3,7 +3,10 @@ package serve
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
+	"sync"
+	"time"
 
 	"analogfold/internal/obs"
 )
@@ -11,19 +14,56 @@ import (
 // Ops is the operational surface the daemon and the cluster coordinator both
 // serve: liveness, readiness, the metrics registry, the flight recorder and
 // the SLO report. Mount registers it on a mux, so the two tiers answer these
-// endpoints with one implementation.
+// endpoints with one implementation; Serve runs and drains both tiers'
+// listeners.
 type Ops struct {
 	Registry  *obs.Registry
 	Telemetry *obs.Telemetry
 	SLO       *obs.SLO
 	// SLOPrefix names the series family of /debug/slo?format=prom.
 	SLOPrefix string
-	// Drained is closed when the owner starts draining; /readyz then answers
-	// 503 so load balancers stop sending traffic.
-	Drained <-chan struct{}
-	// Log receives write failures on the scrape paths.
+	// Drained is closed when Serve starts draining; /readyz then answers 503
+	// so load balancers stop sending traffic.
+	Drained  chan struct{}
+	draining sync.Once
+	// DrainTimeout bounds Serve's graceful drain.
+	DrainTimeout time.Duration
+	// Log receives write failures on the scrape paths and the forced close
+	// of a drain that overran DrainTimeout.
 	Log func(ctx context.Context, msg string, kv ...any)
 }
+
+// Serve runs h on ln until ctx is canceled, then drains: Drained closes,
+// onDrain (when set) runs, in-flight requests get up to DrainTimeout to
+// finish, and stragglers past it are hard-closed so the process can exit
+// instead of hanging. It returns the listener's error, or the drain
+// deadline's.
+func (o *Ops) Serve(ctx context.Context, ln net.Listener, h http.Handler, onDrain func()) error {
+	hs := &http.Server{Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	o.markDrained()
+	if onDrain != nil {
+		onDrain()
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), o.DrainTimeout)
+	defer cancel()
+	err := hs.Shutdown(dctx)
+	if err != nil {
+		o.Log(ctx, "drain timeout: force-closing remaining connections")
+		hs.Close()
+	}
+	<-errc // http.ErrServerClosed from the Serve goroutine
+	return err
+}
+
+// markDrained closes Drained, once.
+func (o *Ops) markDrained() { o.draining.Do(func() { close(o.Drained) }) }
 
 // Mount registers /healthz, /readyz, /metrics, /debug/flight and /debug/slo.
 func (o *Ops) Mount(mux *http.ServeMux) {

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -124,13 +122,10 @@ type Server struct {
 	ops   Ops
 	cache *servecache.Cache // nil when CacheEntries == 0
 	batch *batcher          // nil when BatchWindow == 0
-	slo   *obs.SLO          // nil when no objective configured
+	front Front
 
 	mu    sync.Mutex
 	flows map[string]*flowEntry
-
-	draining sync.Once
-	drained  chan struct{} // closed when drain starts; /readyz flips to 503
 
 	// doGuidance / doRoute perform the admitted work. They default to the
 	// real warm-path builders; tests substitute stubs to make load-shed and
@@ -147,23 +142,26 @@ func New(model *gnn3d.Model, cfg Config) *Server {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{
-		cfg:     cfg,
-		model:   model,
-		adm:     newAdmission(cfg.QueueCapacity, cfg.QueueBacklog, cfg.AdmissionTimeout),
-		brk:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		cache:   servecache.New(cfg.CacheEntries),
-		flows:   make(map[string]*flowEntry),
-		drained: make(chan struct{}),
+		cfg:   cfg,
+		model: model,
+		adm:   newAdmission(cfg.QueueCapacity, cfg.QueueBacklog, cfg.AdmissionTimeout),
+		brk:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		cache: servecache.New(cfg.CacheEntries),
+		flows: make(map[string]*flowEntry),
 	}
 	if cfg.BatchWindow > 0 {
 		s.batch = newBatcher(s)
 	}
-	s.slo = obs.NewSLO(obs.SLOConfig{LatencyTarget: cfg.SLOLatency, Availability: cfg.SLOAvailability})
-	s.slo.Register(reg, "analogfold_serve")
+	slo := obs.NewSLO(obs.SLOConfig{LatencyTarget: cfg.SLOLatency, Availability: cfg.SLOAvailability})
+	slo.Register(reg, "analogfold_serve")
 	s.met = newMetrics(reg)
+	// The stage histograms aggregate every request's latency attribution
+	// (queue wait, batch wait, cache, relax, route, score).
+	s.front = Front{Telemetry: cfg.Telemetry, SLO: slo, Export: true,
+		Stages: obs.NewStageMetrics(reg, "analogfold_serve")}
 	s.registerOwnerMetrics(reg)
-	s.ops = Ops{Registry: reg, Telemetry: cfg.Telemetry, SLO: s.slo, SLOPrefix: "analogfold_serve",
-		Drained: s.drained, Log: s.logCtx}
+	s.ops = Ops{Registry: reg, Telemetry: cfg.Telemetry, SLO: slo, SLOPrefix: "analogfold_serve",
+		Drained: make(chan struct{}), DrainTimeout: cfg.DrainTimeout, Log: s.logCtx}
 	s.doGuidance = func(ctx context.Context, f *core.Flow, hg *hetgraph.Graph, req GuidanceRequest, useModel bool) (*GuidanceResponse, error) {
 		if useModel && s.model != nil && s.batch != nil {
 			return s.buildGuidanceWave(ctx, f, hg, req)
@@ -222,9 +220,11 @@ func (s *Server) Warm(benches []string) error {
 // Handler returns the daemon's routing table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/guidance", s.withObs(s.withRecovery(s.handleGuidance)))
-	mux.HandleFunc("/v1/route", s.withObs(s.withRecovery(s.handleRoute)))
-	mux.HandleFunc("/v1/dataset/shard", s.withObs(s.withRecovery(s.handleDatasetShard)))
+	mux.HandleFunc("/v1/guidance", s.handleWork(endpoint{
+		span: "serve.guidance", kind: "guidance", hist: s.met.guidance, work: s.guidanceWork}))
+	mux.HandleFunc("/v1/route", s.handleWork(endpoint{
+		span: "serve.route", kind: "route", hist: s.met.route, work: s.routeWork}))
+	mux.HandleFunc("/v1/dataset/shard", s.handleDatasetShard)
 	s.ops.Mount(mux)
 	return mux
 }
@@ -245,192 +245,143 @@ func (s *Server) DebugHandler() http.Handler {
 	return mux
 }
 
-// admit runs the shared front half of both work endpoints: method check, body
-// decode, admission, per-request deadline. It returns false after writing the
-// error response when the request doesn't proceed.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, into any) (release func(), ok bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		RespondJSON(w, http.StatusMethodNotAllowed, ErrorBody{Error: ErrorDetail{
-			Kind: "method not allowed", Msg: "use POST"}})
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err == nil {
-		err = json.Unmarshal(body, into)
-	}
-	if err != nil {
-		RespondError(w, fault.Wrap(fault.StageServe, fault.ErrInvalidInput, err, "decode request"), 0)
-		return nil, false
-	}
-	waitStart := time.Now()
-	if err := s.adm.acquire(r.Context()); err != nil {
-		// The Retry-After jitter keys on the request content so identical
-		// retries get a consistent hint while distinct clients spread out.
-		RespondError(w, err, s.adm.retryAfterSeconds(obs.FNV64a(body)))
-		return nil, false
-	}
-	obs.StagesFrom(r.Context()).Add(obs.StageQueue, time.Since(waitStart))
-	return s.adm.release, true
-}
-
-func (s *Server) handleGuidance(w http.ResponseWriter, r *http.Request) {
-	var req GuidanceRequest
-	release, ok := s.admit(w, r, &req)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	defer func() { s.met.guidance.Observe(time.Since(start)) }()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	ctx, span := obs.StartSpan(obs.WithTelemetry(ctx, s.cfg.Telemetry), "serve.guidance")
-	defer span.Arg("bench", req.Bench).End()
-	f, hg, err := s.flowFor(req.Bench)
-	if err != nil {
-		RespondError(w, err, 0)
-		return
-	}
-	if s.cache == nil {
-		resp, err := s.computeGuidance(ctx, f, hg, req)
-		if resp == nil {
-			RespondError(w, err, 0)
+// serveAdmitted runs one daemon work request: the shared front (request ID,
+// telemetry, trace join, POST check, body decode into into), then panic
+// containment, admission, the per-request deadline and the endpoint's
+// latency histogram around work.
+func (s *Server) serveAdmitted(w http.ResponseWriter, r *http.Request, into any, hist *obs.Histogram, work func(ctx context.Context, w http.ResponseWriter)) {
+	s.front.Serve(w, r, into, func(w http.ResponseWriter, r *http.Request, body []byte) {
+		defer s.recoverPanic(w, r)
+		waitStart := time.Now()
+		if err := s.adm.acquire(r.Context()); err != nil {
+			// The Retry-After jitter keys on the request content so identical
+			// retries get a consistent hint while distinct clients spread out.
+			RespondError(w, err, s.adm.retryAfterSeconds(obs.FNV64a(body)))
 			return
 		}
-		RespondJSON(w, http.StatusOK, resp)
-		return
-	}
-	// The cache lookup runs before the breaker gate: a hit replays stored
-	// bytes without touching the model, so it must neither consume a
-	// half-open probe slot nor be refused while the breaker is open.
-	key := cacheKeyFor("guidance", f, req.Seed, req.Restarts, req.NDerive)
-	lookupStart := time.Now()
-	body, st, err := s.cache.Do(ctx, key, func() ([]byte, bool, error) {
-		resp, cerr := s.computeGuidance(ctx, f, hg, req)
-		if resp == nil {
-			return nil, false, cerr
-		}
-		b, merr := MarshalBody(resp)
-		if merr != nil {
-			return nil, false, merr
-		}
-		return b, cacheable(resp.Rung, resp.Degraded, resp.Breaker), nil
+		defer s.adm.release()
+		obs.StagesFrom(r.Context()).Add(obs.StageQueue, time.Since(waitStart))
+		start := time.Now()
+		defer func() { hist.Observe(time.Since(start)) }()
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		work(ctx, w)
 	})
-	if st != servecache.StatusMiss {
-		// Hits and collapses spent their whole Do inside the cache layer; a
-		// miss's time is attributed by the compute stages themselves.
-		obs.StagesFrom(ctx).Add(obs.StageCache, time.Since(lookupStart))
-	}
-	w.Header().Set(HeaderCache, st.String())
-	span.Arg("cache", st.String())
-	if body == nil {
-		RespondError(w, err, 0)
-		return
-	}
-	writeBody(w, http.StatusOK, body)
 }
 
-// computeGuidance is the shared uncached/cache-miss execution of one guidance
-// request: breaker gate, work function, breaker accounting, degradation
-// counting. A nil response means err must be written as the HTTP error; a
-// non-nil response is servable even when the pipeline reported a (degraded)
-// fault — exactly the pre-cache handler contract.
-func (s *Server) computeGuidance(ctx context.Context, f *core.Flow, hg *hetgraph.Graph, req GuidanceRequest) (*GuidanceResponse, error) {
+// endpoint describes one of the two model-path work endpoints, /v1/guidance
+// and /v1/route, to the one handler that serves both.
+type endpoint struct {
+	span string         // the request's span name
+	kind string         // cache-key kind
+	hist *obs.Histogram // handler time after admission
+	// work runs the request, on the model path when useModel, and returns the
+	// response (nil on failure) plus the error the breaker should see.
+	work func(ctx context.Context, f *core.Flow, hg *hetgraph.Graph, req GuidanceRequest, useModel bool) (workResponse, error)
+}
+
+// workResponse is either endpoint's response, as the shared handler reads
+// and marks it.
+type workResponse interface {
+	// ladder returns the degradation-ladder fields: the rung, whether the
+	// response is degraded, and the breaker field to mark when the model
+	// was skipped.
+	ladder() (rung string, degraded bool, breaker *string)
+}
+
+func (r *GuidanceResponse) ladder() (string, bool, *string) { return r.Rung, r.Degraded, &r.Breaker }
+func (r *RouteResponse) ladder() (string, bool, *string)    { return r.Rung, r.Degraded, &r.Breaker }
+
+// handleWork serves one model-path endpoint. A GuidanceRequest decodes
+// either endpoint's body: RouteRequest has the same fields.
+func (s *Server) handleWork(ep endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req GuidanceRequest
+		s.serveAdmitted(w, r, &req, ep.hist, func(ctx context.Context, w http.ResponseWriter) {
+			ctx, span := obs.StartSpan(ctx, ep.span)
+			defer span.Arg("bench", req.Bench).End()
+			f, hg, err := s.flowFor(req.Bench)
+			if err != nil {
+				RespondError(w, err, 0)
+				return
+			}
+			// The cache lookup runs before the breaker gate: a hit replays
+			// stored bytes without touching the model, so it must neither
+			// consume a half-open probe slot nor be refused while the breaker
+			// is open. A nil cache (caching off) runs compute directly.
+			var key string
+			if s.cache != nil {
+				key = cacheKeyFor(ep.kind, f, req.Seed, req.Restarts, req.NDerive)
+			}
+			lookupStart := time.Now()
+			body, st, err := s.cache.Do(ctx, key, func() ([]byte, bool, error) {
+				return s.compute(ctx, ep, f, hg, req)
+			})
+			if st != servecache.StatusMiss {
+				// Hits and collapses spent their whole Do inside the cache
+				// layer; a miss's time is attributed by the compute stages.
+				obs.StagesFrom(ctx).Add(obs.StageCache, time.Since(lookupStart))
+			}
+			if s.cache != nil {
+				w.Header().Set(HeaderCache, st.String())
+				span.Arg("cache", st.String())
+			}
+			if body == nil {
+				RespondError(w, err, 0)
+				return
+			}
+			writeBody(w, http.StatusOK, body)
+		})
+	}
+}
+
+// compute is the cache-miss (or uncached) execution of one work request:
+// breaker gate, the endpoint's work, breaker accounting, degradation
+// counting, marshaling. A nil body means err must be written as the HTTP
+// error; a body is servable even when the pipeline reported a (degraded)
+// fault. Only full-quality elite bodies are cacheable.
+func (s *Server) compute(ctx context.Context, ep endpoint, f *core.Flow, hg *hetgraph.Graph, req GuidanceRequest) ([]byte, bool, error) {
 	useModel := s.brk.allow()
-	resp, err := s.doGuidance(ctx, f, hg, req, useModel)
+	resp, err := ep.work(ctx, f, hg, req, useModel)
 	if useModel {
 		s.recordModelOutcome(err)
 	}
 	if resp == nil {
-		return nil, err
+		return nil, false, err
 	}
+	rung, degraded, breaker := resp.ladder()
 	if !useModel {
-		resp.Breaker = "open"
+		*breaker = "open"
 	}
-	if resp.Degraded {
+	if degraded {
 		s.met.degraded.Add(1)
 	}
-	return resp, nil
+	body, err := MarshalBody(resp)
+	if err != nil {
+		return nil, false, err
+	}
+	return body, cacheable(rung, degraded, *breaker), nil
 }
 
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	var req RouteRequest
-	release, ok := s.admit(w, r, &req)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	defer func() { s.met.route.Observe(time.Since(start)) }()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	ctx, span := obs.StartSpan(obs.WithTelemetry(ctx, s.cfg.Telemetry), "serve.route")
-	defer span.Arg("bench", req.Bench).End()
-	f, hg, err := s.flowFor(req.Bench)
-	if err != nil {
-		RespondError(w, err, 0)
-		return
-	}
-	if s.cache == nil {
-		resp, err := s.computeRoute(ctx, f, hg, req)
-		if resp == nil {
-			RespondError(w, err, 0)
-			return
-		}
-		RespondJSON(w, http.StatusOK, resp)
-		return
-	}
-	key := cacheKeyFor("route", f, req.Seed, req.Restarts, req.NDerive)
-	lookupStart := time.Now()
-	body, st, err := s.cache.Do(ctx, key, func() ([]byte, bool, error) {
-		resp, cerr := s.computeRoute(ctx, f, hg, req)
-		if resp == nil {
-			return nil, false, cerr
-		}
-		b, merr := MarshalBody(resp)
-		if merr != nil {
-			return nil, false, merr
-		}
-		return b, cacheable(resp.Rung, resp.Degraded, resp.Breaker), nil
-	})
-	if st != servecache.StatusMiss {
-		obs.StagesFrom(ctx).Add(obs.StageCache, time.Since(lookupStart))
-	}
-	w.Header().Set(HeaderCache, st.String())
-	span.Arg("cache", st.String())
-	if body == nil {
-		RespondError(w, err, 0)
-		return
-	}
-	writeBody(w, http.StatusOK, body)
-}
-
-// computeRoute mirrors computeGuidance for the full-flow endpoint.
-func (s *Server) computeRoute(ctx context.Context, f *core.Flow, hg *hetgraph.Graph, req RouteRequest) (*RouteResponse, error) {
-	useModel := s.brk.allow()
-	resp, out, err := s.doRoute(ctx, f, hg, req, useModel)
-	if err != nil {
-		if useModel {
-			s.recordModelOutcome(err)
-		}
+// guidanceWork is /v1/guidance's work: a degraded response comes back
+// together with the relaxation fault that degraded it.
+func (s *Server) guidanceWork(ctx context.Context, f *core.Flow, hg *hetgraph.Graph, req GuidanceRequest, useModel bool) (workResponse, error) {
+	resp, err := s.doGuidance(ctx, f, hg, req, useModel)
+	if resp == nil {
 		return nil, err
 	}
-	if useModel {
-		s.recordModelOutcome(out.Degradation.ModelFault())
+	return resp, err
+}
+
+// routeWork is /v1/route's work: the breaker sees the model fault the flow
+// degraded past, if any.
+func (s *Server) routeWork(ctx context.Context, f *core.Flow, hg *hetgraph.Graph, req GuidanceRequest, useModel bool) (workResponse, error) {
+	resp, out, err := s.doRoute(ctx, f, hg, RouteRequest(req), useModel)
+	if err != nil {
+		return nil, err
 	}
-	if out != nil {
-		s.met.relax.Observe(out.Times.GuideGeneration)
-	}
-	if !useModel {
-		resp.Breaker = "open"
-	}
-	if resp.Degraded {
-		s.met.degraded.Add(1)
-	}
-	return resp, nil
+	s.met.relax.Observe(out.Times.GuideGeneration)
+	return resp, out.Degradation.ModelFault()
 }
 
 // recordModelOutcome feeds the breaker after a model-path attempt. Timeouts
@@ -458,32 +409,14 @@ func (s *Server) recordModelOutcome(err error) {
 }
 
 // Serve runs the daemon on the listener until ctx is canceled (SIGTERM /
-// SIGINT in the binary), then drains: the listener closes, /readyz flips to
-// 503 so load balancers stop sending traffic, in-flight requests get up to
-// DrainTimeout to finish, and only then are stragglers cut off.
+// SIGINT in the binary), then drains (Ops.Serve): /readyz flips to 503,
+// in-flight requests get up to DrainTimeout to finish, and only then are
+// stragglers cut off.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	s.draining.Do(func() { close(s.drained) })
-	s.logf("draining: waiting up to %s for %d in-flight requests",
-		s.cfg.DrainTimeout, s.adm.inflight.Load())
-	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	err := hs.Shutdown(dctx)
-	if err != nil {
-		// Drain deadline blown: hard-close the stragglers so the process can
-		// exit instead of hanging forever.
-		s.logf("drain timeout: force-closing remaining connections")
-		hs.Close()
-	}
-	<-errc // http.ErrServerClosed from the Serve goroutine
-	return err
+	return s.ops.Serve(ctx, ln, s.Handler(), func() {
+		s.logf("draining: waiting up to %s for %d in-flight requests",
+			s.cfg.DrainTimeout, s.adm.inflight.Load())
+	})
 }
 
 // ListenAndServe binds addr and calls Serve.

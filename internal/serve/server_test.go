@@ -478,7 +478,7 @@ func TestDrainFinishesInflightAndLeaksNothing(t *testing.T) {
 		t.Error("post-drain request succeeded, listener still accepting")
 	}
 	select {
-	case <-s.drained:
+	case <-s.ops.Drained:
 	default:
 		t.Error("drain marker not set; /readyz would still report ready")
 	}
@@ -500,7 +500,7 @@ func TestReadyzFlipsWhileDraining(t *testing.T) {
 			t.Errorf("%s = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
-	s.draining.Do(func() { close(s.drained) })
+	s.ops.markDrained()
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)

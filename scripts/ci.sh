@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# CI gate: build + vet + full test suite, then a short race-detector pass
-# over the packages that run work concurrently (worker pool, relaxation,
-# Monte Carlo, training, dataset generation). Package and fuzz-target lists
-# live in the Makefile only; this script calls its targets.
+# CI gate: build + vet + full test suite, then race-detector passes over the
+# packages that run work concurrently (worker pool, relaxation, Monte Carlo,
+# training, dataset generation, serving): make race, and make chaos, which
+# runs its packages' whole suites under -race with the fault scheduler
+# compiled in. Package and fuzz-target lists live in the Makefile only; this
+# script calls its targets.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,7 +42,7 @@ fi
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (parallel-touching packages) =="
+echo "== go test -race (concurrent packages outside the chaos pass) =="
 make race
 
 echo "== chaos: go test -race -tags faultinject (fault-injection suite) =="
@@ -77,7 +79,7 @@ echo "== cluster chaos: replica-kill suite (coordinator fault tolerance) =="
 # re-dispatch with dispatched == completed + redispatched.
 make cluster-chaos
 
-echo "== fuzz smoke (10s per target) =="
+echo "== fuzz smoke (10s per target, 2s minimization cap) =="
 # Short native-fuzz budgets: enough to catch a freshly introduced panic or
 # untyped error on the input-facing surfaces (netlist builder, tensor
 # constructors, inbound traceparent, the prober's /metrics decoder, the 3DGNN
