@@ -39,9 +39,10 @@ errcheck:
 # weight tensors across concurrent tape sessions — the race detector proves
 # the read-only sharing contract. parallel, relax, route, serve and dataset
 # are not: chaos below runs every one of their tests under -race (the
-# faultinject tag only adds the chaos tests to each package's list).
+# faultinject tag only adds the chaos tests to each package's list). Nor is
+# cluster: cluster-chaos runs its whole suite under -race the same way.
 race:
-	$(GO) test -race -count=1 ./internal/obs/ ./internal/circuit/ ./internal/gnn3d/ ./internal/ad/ ./internal/tensor/ ./internal/servecache/ ./internal/cluster/
+	$(GO) test -race -count=1 ./internal/obs/ ./internal/circuit/ ./internal/gnn3d/ ./internal/ad/ ./internal/tensor/ ./internal/servecache/
 
 # chaos compiles the deterministic fault scheduler into the injection points
 # (faultinject build tag) and runs the fault-injection suite under the race

@@ -51,5 +51,5 @@ func main() {
 	fmt.Printf("post-layout: gain %.1f dB, UGB %.1f MHz, CMRR %.1f dB, noise %.1f µVrms\n",
 		m.GainDB, m.BandwidthMHz, m.CMRRdB, m.NoiseUVrms)
 	fmt.Printf("             offset %.0f µV, wirelength %.1f µm, %d vias, routed in %s\n",
-		m.OffsetUV, float64(out.WirelengthNm)/1000, out.Vias, out.Runtime)
+		m.OffsetUV, float64(out.WirelengthNm)/1000, out.Vias, out.Runtime())
 }

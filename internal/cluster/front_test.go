@@ -15,7 +15,8 @@ import (
 // tiers shares: the daemon's /v1/guidance, /v1/route and /v1/dataset/shard
 // and the coordinator's /v1/guidance, /v1/route and /v1/dataset. Each must
 // refuse anything but POST with 405 and Allow: POST, answer a malformed or
-// oversized body with a typed invalid-input 400, and echo a caller's
+// oversized body (also one whose first MiB is valid JSON) with a typed
+// invalid-input 400, and echo a caller's
 // X-Request-ID or mint one. The passing bodies decode but fail fast behind
 // the front (unknown benchmark, zero samples, a coordinator without
 // replicas), so no endpoint runs real work.
@@ -28,6 +29,9 @@ func TestSharedRequestFront(t *testing.T) {
 	defer front.Close()
 
 	oversized := `{"bench":"` + strings.Repeat("x", 1<<20) + `"}`
+	// Valid JSON in its first MiB: a front that cuts the body off at the
+	// bound instead of refusing it would serve this one.
+	padded := `{"bench":"OTA1-A"}` + strings.Repeat(" ", 2<<20)
 	for _, tc := range []struct {
 		name, url, passing string
 	}{
@@ -48,7 +52,7 @@ func TestSharedRequestFront(t *testing.T) {
 				t.Errorf("GET = %d Allow %q, want 405 Allow POST", resp.StatusCode, resp.Header.Get("Allow"))
 			}
 
-			for what, body := range map[string]string{"malformed": `{not json`, "oversized": oversized} {
+			for what, body := range map[string]string{"malformed": `{not json`, "oversized": oversized, "padded": padded} {
 				resp, b := postJSON(t, tc.url, body)
 				var eb serve.ErrorBody
 				if err := json.Unmarshal(b, &eb); err != nil {

@@ -11,9 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"analogfold/internal/fault"
 	"analogfold/internal/gnn3d"
 	"analogfold/internal/hetgraph"
 	"analogfold/internal/netlist"
+	"analogfold/internal/obs"
 	"analogfold/internal/place"
 	"analogfold/internal/relax"
 	"analogfold/internal/route"
@@ -47,7 +49,7 @@ func TestFlowSchematicAndMagical(t *testing.T) {
 	if mag.Metrics.BandwidthMHz <= 0 || mag.Metrics.BandwidthMHz > sch.BandwidthMHz*1.02 {
 		t.Errorf("magical UGB %.2f vs schematic %.2f", mag.Metrics.BandwidthMHz, sch.BandwidthMHz)
 	}
-	if mag.Runtime <= 0 || mag.WirelengthNm <= 0 {
+	if mag.Runtime() <= 0 || mag.WirelengthNm <= 0 {
 		t.Errorf("outcome bookkeeping empty: %+v", mag)
 	}
 }
@@ -89,9 +91,60 @@ func TestFullPipelineOTA1(t *testing.T) {
 	}
 }
 
+// TestStageRunnerSpansAndRuntime pins that every method's stages run through
+// the stage runner: under telemetry each stage records one span named by its
+// fault.Stage (listed in order of completion), the routing span covers the
+// time routing adds to StageTimes, and the Table-2 runtime is guidance
+// generation plus routing for all three methods.
+func TestStageRunnerSpansAndRuntime(t *testing.T) {
+	f, err := NewFlow(netlist.OTA1(), place.ProfileA, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method Method
+		run    func(context.Context) (*Outcome, error)
+		spans  []string
+	}{
+		{MethodMagical, f.RunMagical, []string{"guided-routing"}},
+		{MethodGenius, f.RunGenius, []string{"construct-database", "train-3dgnn", "guide-generation", "guided-routing"}},
+		{MethodAnalogFold, f.RunAnalogFold, []string{"construct-database", "train-3dgnn", "relaxation", "guided-routing"}},
+	} {
+		t.Run(string(tc.method), func(t *testing.T) {
+			tel := obs.New(obs.Options{Seed: 1})
+			out, err := tc.run(obs.WithTelemetry(context.Background(), tel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := out.Runtime(), out.Times.GuideGeneration+out.Times.GuidedRouting; got != want || got <= 0 {
+				t.Errorf("Runtime() = %v, want GuideGeneration + GuidedRouting = %v > 0", got, want)
+			}
+			var names []string
+			var routeUS int64
+			for _, e := range tel.Recorder().Snapshot() {
+				switch fault.Stage(e.Name) {
+				case fault.StageDatabase, fault.StageTraining, fault.StageGuidance, fault.StageRelaxation:
+					names = append(names, e.Name)
+				case fault.StageRouting:
+					names = append(names, e.Name)
+					routeUS = e.DurUS
+				}
+			}
+			if strings.Join(names, ",") != strings.Join(tc.spans, ",") {
+				t.Errorf("spans %v, want %v", names, tc.spans)
+			}
+			// The span opens before the stage clock starts and ends after it
+			// stops; 1 µs covers the span's microsecond truncation.
+			if rt := out.Times.GuidedRouting.Microseconds(); rt > routeUS+1 {
+				t.Errorf("GuidedRouting %d µs exceeds its span's %d µs", rt, routeUS)
+			}
+		})
+	}
+}
+
 func TestFormatRowAndSummary(t *testing.T) {
 	mk := func(bw float64) *Outcome {
-		o := &Outcome{Method: MethodMagical, Runtime: time.Second}
+		o := &Outcome{Method: MethodMagical, Times: StageTimes{GuidedRouting: time.Second}}
 		o.Metrics.OffsetUV = 100
 		o.Metrics.CMRRdB = 80
 		o.Metrics.BandwidthMHz = bw
@@ -357,7 +410,7 @@ func TestOneModelAcrossPaths(t *testing.T) {
 
 func TestJSONReport(t *testing.T) {
 	mk := func() *Outcome {
-		o := &Outcome{Method: MethodMagical, Runtime: 2 * time.Second, WirelengthNm: 250000, Vias: 80}
+		o := &Outcome{Method: MethodMagical, Times: StageTimes{GuidedRouting: 2 * time.Second}, WirelengthNm: 250000, Vias: 80}
 		o.Metrics.OffsetUV = 100
 		o.Metrics.CMRRdB = 80
 		o.Metrics.BandwidthMHz = 50
@@ -423,7 +476,7 @@ func TestHeadlineImprovements(t *testing.T) {
 
 func TestSummarizeSkipsNonPositiveCells(t *testing.T) {
 	mk := func(off float64) *Outcome {
-		o := &Outcome{Runtime: time.Second}
+		o := &Outcome{Times: StageTimes{GuidedRouting: time.Second}}
 		o.Metrics.OffsetUV = off
 		o.Metrics.CMRRdB = 80
 		o.Metrics.BandwidthMHz = 50

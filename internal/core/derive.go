@@ -48,7 +48,7 @@ func (f *Flow) RunGeniusRouted(ctx context.Context) (*route.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	gd, _, err := f.geniusGuidanceTimed(ctx)
+	gd, err := f.geniusGuidance(ctx, new(StageTimes))
 	if err != nil {
 		return nil, err
 	}

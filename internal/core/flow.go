@@ -153,56 +153,58 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// withPhase tags everything fn runs (including goroutines it spawns) with a
-// pprof "phase" label, so -cpuprofile output attributes samples to the
-// Figure-5 stages instead of one undifferentiated flow, and opens a telemetry
-// span of the same name so -trace-out renders the stage timeline. The
-// caller's context flows through unchanged, so cancellation crosses the label
-// boundary; with no telemetry attached the span is a nil no-op. Phases that
-// map onto a request latency stage additionally feed the context's
-// StageBreakdown, which is how serving requests attribute relax and route
-// time without the handlers instrumenting core internals. Scoring that runs
-// inside a phase (non-deferred relax.Optimize scores its candidates before
-// returning) credits StageScore itself, so the phase keeps only the rest of
-// its elapsed time and the stages never overlap.
-func withPhase(ctx context.Context, phase string, fn func(context.Context)) {
-	sctx, span := obs.StartSpan(ctx, phase)
+// Whether a stage runs under a deadline of its own (see Flow.stage).
+const (
+	bounded   = true
+	unbounded = false
+)
+
+// stage runs fn as the flow stage st. It is the one place where a stage of
+// this package is named, bounded, timed and attributed:
+//   - a telemetry span and a pprof "phase" label named st cover fn and every
+//     goroutine it spawns, so -trace-out renders the Figure-5 timeline and
+//     -cpuprofile attributes samples to the stages (with no telemetry
+//     attached the span is a nil no-op);
+//   - a bounded stage runs fn under Opts.StageTimeout, when set, after the
+//     injected stage latency (chaos builds only), which is how the harness
+//     provokes stage overruns deterministically; an unbounded stage runs
+//     under its caller's deadline;
+//   - the elapsed time, less that of the stages nested inside, goes to st's
+//     StageTimes field in t;
+//   - relaxation and routing credit StageRelax and StageRoute on the
+//     context's request StageBreakdown, which is how serving requests
+//     attribute relax and route time without the handlers instrumenting core
+//     internals. Scoring inside the stage (non-deferred relax.Optimize scores
+//     its candidates before returning) credits StageScore itself, so the
+//     stage keeps only the rest of its time and the stages never overlap.
+//
+// It returns fn's error.
+func (f *Flow) stage(ctx context.Context, st fault.Stage, bound bool, t *StageTimes, fn func(context.Context) error) error {
+	ctx, span := obs.StartSpan(ctx, string(st))
+	defer span.End()
 	stages := obs.StagesFrom(ctx)
-	start, scored := time.Now(), stages.Get(obs.StageScore)
-	defer func() {
-		if st, ok := phaseStage(phase); ok {
-			stages.Add(st, time.Since(start)-(stages.Get(obs.StageScore)-scored))
+	before, scored, start := t.Total(), stages.Get(obs.StageScore), time.Now()
+	if bound {
+		var cancel context.CancelFunc
+		if f.Opts.StageTimeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, f.Opts.StageTimeout)
+		} else {
+			ctx, cancel = context.WithCancel(ctx)
 		}
-		span.End()
-	}()
-	pprof.Do(sctx, pprof.Labels("phase", phase), fn)
-}
-
-// phaseStage maps a Figure-5 phase onto the request-latency stage taxonomy.
-// Only the phases a warm serving request can run are mapped; cold-flow phases
-// (placement, training) never execute under a request's StageBreakdown.
-func phaseStage(phase string) (obs.StageID, bool) {
-	switch phase {
-	case "relaxation":
-		return obs.StageRelax, true
-	case "guided-routing":
-		return obs.StageRoute, true
-	}
-	return 0, false
-}
-
-// stageCtx derives the per-stage context: Opts.StageTimeout bounds each stage
-// independently when set. The injected stage-latency fault point (chaos
-// builds only) sleeps before the deadline starts being consumed by real work,
-// which is how the harness provokes stage overruns deterministically.
-func (f *Flow) stageCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if f.Opts.StageTimeout > 0 {
-		c, cancel := context.WithTimeout(ctx, f.Opts.StageTimeout)
+		defer cancel()
 		inject.Sleep(inject.StageLatency)
-		return c, cancel
 	}
-	inject.Sleep(inject.StageLatency)
-	return context.WithCancel(ctx)
+	var err error
+	pprof.Do(ctx, pprof.Labels("phase", string(st)), func(ctx context.Context) { err = fn(ctx) })
+	d := time.Since(start)
+	*t.field(st) += d - (t.Total() - before)
+	switch st {
+	case fault.StageRelaxation:
+		stages.Add(obs.StageRelax, d-(stages.Get(obs.StageScore)-scored))
+	case fault.StageRouting:
+		stages.Add(obs.StageRoute, d-(stages.Get(obs.StageScore)-scored))
+	}
+	return err
 }
 
 // terminalFault reports whether err carries a cancellation or deadline: those
@@ -229,11 +231,27 @@ func (s StageTimes) Total() time.Duration {
 	return s.Placement + s.ConstructDatabase + s.ModelTraining + s.GuideGeneration + s.GuidedRouting
 }
 
+// field returns the field that stage st's time goes to.
+func (s *StageTimes) field(st fault.Stage) *time.Duration {
+	switch st {
+	case fault.StagePlacement:
+		return &s.Placement
+	case fault.StageDatabase:
+		return &s.ConstructDatabase
+	case fault.StageTraining:
+		return &s.ModelTraining
+	case fault.StageRelaxation, fault.StageGuidance:
+		return &s.GuideGeneration
+	case fault.StageRouting:
+		return &s.GuidedRouting
+	}
+	panic("core: no StageTimes field for stage " + string(st))
+}
+
 // Outcome is one method's result on one benchmark.
 type Outcome struct {
 	Method       Method
 	Metrics      circuit.Metrics
-	Runtime      time.Duration // guidance generation + routing (Table 2 semantics)
 	Times        StageTimes
 	WirelengthNm int
 	Vias         int
@@ -241,6 +259,11 @@ type Outcome struct {
 	// methods). A fault-free run reports FinalRung == RungElite with no
 	// events; see DegradationReport.
 	Degradation *DegradationReport
+}
+
+// Runtime is the Table-2 runtime: guidance generation plus routing.
+func (o *Outcome) Runtime() time.Duration {
+	return o.Times.GuideGeneration + o.Times.GuidedRouting
 }
 
 // Flow holds the per-benchmark state shared by all methods.
@@ -262,31 +285,25 @@ func NewFlow(c *netlist.Circuit, profile place.Profile, opts Options) (*Flow, er
 
 // NewFlowCtx is NewFlow with a context, so the placement stage joins any
 // telemetry span tree carried by ctx (the remaining stages are spanned inside
-// the Run* methods). Placement itself does not observe cancellation.
+// the Run* methods). Placement itself does not observe cancellation, so it
+// runs unbounded.
 func NewFlowCtx(ctx context.Context, c *netlist.Circuit, profile place.Profile, opts Options) (*Flow, error) {
-	opts = opts.withDefaults()
-	t0 := time.Now()
-	var (
-		p   *place.Placement
-		g   *grid.Grid
-		err error
-	)
-	withPhase(ctx, "placement", func(context.Context) {
-		p, err = place.Place(c, place.Config{
-			Profile: profile, Seed: opts.Seed, Iterations: opts.PlaceIters,
+	f := &Flow{Circuit: c, Profile: profile, Opts: opts.withDefaults()}
+	var t StageTimes
+	err := f.stage(ctx, fault.StagePlacement, unbounded, &t, func(context.Context) (err error) {
+		f.Placement, err = place.Place(c, place.Config{
+			Profile: profile, Seed: f.Opts.Seed, Iterations: f.Opts.PlaceIters,
 		})
-		if err != nil {
-			return
+		if err == nil {
+			f.Grid, err = grid.Build(f.Placement, tech.Sim40())
 		}
-		g, err = grid.Build(p, tech.Sim40())
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Flow{
-		Circuit: c, Profile: profile, Opts: opts,
-		Placement: p, Grid: g, placeTime: time.Since(t0),
-	}, nil
+	f.placeTime = t.Placement
+	return f, nil
 }
 
 // Name returns the Table-2 benchmark id, e.g. "OTA1-A".
@@ -319,76 +336,7 @@ func (f *Flow) cloneForMethod() *Flow {
 
 // RunMagical runs the unguided baseline router.
 func (f *Flow) RunMagical(ctx context.Context) (*Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sctx, cancel := f.stageCtx(ctx)
-	defer cancel()
-	t0 := time.Now()
-	res, err := route.RouteCtx(sctx, f.Grid, guidance.Uniform(len(f.Circuit.Nets)), f.Opts.RouteCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: magical: %w", err)
-	}
-	rt := time.Since(t0)
-	m, err := f.evaluateRouted(res)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{
-		Method: MethodMagical, Metrics: m, Runtime: rt,
-		Times:        StageTimes{Placement: f.placeTime, GuidedRouting: rt},
-		WirelengthNm: res.WirelengthNm, Vias: res.Vias,
-	}, nil
-}
-
-// geniusTiming carries the GeniusRoute stage times alongside its guidance.
-type geniusTiming struct {
-	corpus, train, inference time.Duration
-}
-
-// geniusGuidanceTimed builds the GeniusRoute imitation guidance: a VAE
-// trained on routed sibling placements (substitute for the original's
-// manual-layout corpus; see package vae) decodes a 2D wire-density map that
-// is converted to per-net guidance.
-func (f *Flow) geniusGuidanceTimed(ctx context.Context) (guidance.Set, geniusTiming, error) {
-	o := f.Opts
-	var tm geniusTiming
-	var pairs []vae.Pair
-	tCorpus := time.Now()
-	for k := 0; k < o.VAECorpus; k++ {
-		if err := ctx.Err(); err != nil {
-			return guidance.Set{}, tm, fault.FromContext(fault.StageGuidance, err)
-		}
-		p, err := place.Place(f.Circuit, place.Config{
-			Profile: f.Profile, Seed: o.Seed + int64(100+k), Iterations: o.PlaceIters / 2,
-		})
-		if err != nil {
-			return guidance.Set{}, tm, fmt.Errorf("core: genius corpus: %w", err)
-		}
-		g, err := grid.Build(p, tech.Sim40())
-		if err != nil {
-			return guidance.Set{}, tm, fmt.Errorf("core: genius corpus: %w", err)
-		}
-		res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
-		if err != nil {
-			return guidance.Set{}, tm, fmt.Errorf("core: genius corpus: %w", err)
-		}
-		pairs = append(pairs, vae.Pair{Pins: vae.RasterizePins(g), Wires: vae.RasterizeWires(g, res)})
-	}
-	tm.corpus = time.Since(tCorpus)
-
-	tTrain := time.Now()
-	model := vae.New(8, o.Seed)
-	if _, err := model.Fit(pairs, vae.TrainConfig{Epochs: o.VAEEpochs, Seed: o.Seed}); err != nil {
-		return guidance.Set{}, tm, fmt.Errorf("core: genius: %w", err)
-	}
-	tm.train = time.Since(tTrain)
-
-	tInf := time.Now()
-	wireMap := model.PredictMap(f.Grid)
-	gd := model.GuidanceFromMap(f.Grid, wireMap)
-	tm.inference = time.Since(tInf)
-	return gd, tm, nil
+	return f.routeBaseline(ctx, MethodMagical, guidance.Uniform(len(f.Circuit.Nets)), StageTimes{Placement: f.placeTime})
 }
 
 // RunGenius runs the GeniusRoute baseline end to end.
@@ -396,40 +344,99 @@ func (f *Flow) RunGenius(ctx context.Context) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := f.Opts
-	gctx, gcancel := f.stageCtx(ctx)
-	gd, tm, err := f.geniusGuidanceTimed(gctx)
-	gcancel()
+	t := StageTimes{Placement: f.placeTime}
+	gd, err := f.geniusGuidance(ctx, &t)
 	if err != nil {
 		return nil, err
 	}
-	corpusTime, trainTime, infTime := tm.corpus, tm.train, tm.inference
+	return f.routeBaseline(ctx, MethodGenius, gd, t)
+}
 
-	rctx, rcancel := f.stageCtx(ctx)
-	defer rcancel()
-	tRoute := time.Now()
-	res, err := route.RouteCtx(rctx, f.Grid, gd, o.RouteCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: genius route: %w", err)
+// routeBaseline is the back half of both baselines: it routes gd in one
+// routing stage on the flow's grid and evaluates the result. t holds the
+// method's earlier stage times.
+func (f *Flow) routeBaseline(ctx context.Context, method Method, gd guidance.Set, t StageTimes) (*Outcome, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	routeTime := time.Since(tRoute)
-
+	var res *route.Result
+	err := f.stage(ctx, fault.StageRouting, bounded, &t, func(ctx context.Context) (err error) {
+		res, err = route.RouteCtx(ctx, f.Grid, gd, f.Opts.RouteCfg)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %s route: %w", method, err)
+	}
 	m, err := f.evaluateRouted(res)
 	if err != nil {
 		return nil, err
 	}
 	return &Outcome{
-		Method: MethodGenius, Metrics: m,
-		Runtime: infTime + routeTime,
-		Times: StageTimes{
-			Placement:         f.placeTime,
-			ConstructDatabase: corpusTime,
-			ModelTraining:     trainTime,
-			GuideGeneration:   infTime,
-			GuidedRouting:     routeTime,
-		},
+		Method: method, Metrics: m, Times: t,
 		WirelengthNm: res.WirelengthNm, Vias: res.Vias,
 	}, nil
+}
+
+// geniusGuidance builds the GeniusRoute imitation guidance: a VAE trained on
+// routed sibling placements (substitute for the original's manual-layout
+// corpus; see package vae) decodes a 2D wire-density map that is converted to
+// per-net guidance. The whole of it is one bounded guide-generation stage;
+// the corpus and the VAE training are stages nested under its deadline, so t
+// receives the corpus, training and inference times separately.
+func (f *Flow) geniusGuidance(ctx context.Context, t *StageTimes) (gd guidance.Set, err error) {
+	o := f.Opts
+	err = f.stage(ctx, fault.StageGuidance, bounded, t, func(ctx context.Context) error {
+		var pairs []vae.Pair
+		err := f.stage(ctx, fault.StageDatabase, unbounded, t, func(ctx context.Context) (err error) {
+			pairs, err = f.geniusCorpus(ctx)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		var model *vae.Model
+		err = f.stage(ctx, fault.StageTraining, unbounded, t, func(context.Context) error {
+			model = vae.New(8, o.Seed)
+			if _, err := model.Fit(pairs, vae.TrainConfig{Epochs: o.VAEEpochs, Seed: o.Seed}); err != nil {
+				return fmt.Errorf("core: genius: %w", err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		gd = model.GuidanceFromMap(f.Grid, model.PredictMap(f.Grid))
+		return nil
+	})
+	return gd, err
+}
+
+// geniusCorpus places, grids and routes (with uniform guidance) the VAE's
+// training corpus of sibling placements.
+func (f *Flow) geniusCorpus(ctx context.Context) ([]vae.Pair, error) {
+	o := f.Opts
+	var pairs []vae.Pair
+	for k := 0; k < o.VAECorpus; k++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fault.FromContext(fault.StageGuidance, err)
+		}
+		p, err := place.Place(f.Circuit, place.Config{
+			Profile: f.Profile, Seed: o.Seed + int64(100+k), Iterations: o.PlaceIters / 2,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: genius corpus: %w", err)
+		}
+		g, err := grid.Build(p, tech.Sim40())
+		if err != nil {
+			return nil, fmt.Errorf("core: genius corpus: %w", err)
+		}
+		res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
+		if err != nil {
+			return nil, fmt.Errorf("core: genius corpus: %w", err)
+		}
+		pairs = append(pairs, vae.Pair{Pins: vae.RasterizePins(g), Wires: vae.RasterizeWires(g, res)})
+	}
+	return pairs, nil
 }
 
 // RunAnalogFold runs the full proposed flow. Every stage fans out over
@@ -447,95 +454,64 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 	}
 	o := f.Opts
 	report := &DegradationReport{FinalRung: RungElite}
+	t := StageTimes{Placement: f.placeTime}
 
 	// Construct database: guidance-labeled routing samples.
-	tDB := time.Now()
 	var ds *dataset.Dataset
-	var err error
-	func() {
-		sctx, cancel := f.stageCtx(ctx)
-		defer cancel()
-		withPhase(sctx, "construct-database", func(pctx context.Context) {
-			ds, err = dataset.Generate(pctx, f.Grid, o.datasetConfig())
-		})
-	}()
+	err := f.stage(ctx, fault.StageDatabase, bounded, &t, func(ctx context.Context) (err error) {
+		ds, err = dataset.Generate(ctx, f.Grid, o.datasetConfig())
+		return err
+	})
+	if terminalFault(err) {
+		return nil, fmt.Errorf("core: analogfold: %w", err)
+	}
 	if err != nil {
-		if terminalFault(err) {
-			return nil, fmt.Errorf("core: analogfold: %w", err)
-		}
 		report.record(fault.StageDatabase, err, "database construction failed; skipping learning stack")
 		ds = nil
 	}
-	dbTime := time.Since(tDB)
 
-	// Heterogeneous graph + model training. A diverged or failed fit drops
-	// the model: the flow continues to the unguided rung rather than aborting.
-	tTrain := time.Now()
+	// Heterogeneous graph + model training. A failed graph build or a
+	// diverged or failed fit drops the model: the flow continues to the
+	// unguided rung rather than aborting.
 	var hg *hetgraph.Graph
 	var model *gnn3d.Model
 	if ds != nil {
-		hg, err = hetgraph.Build(f.Grid, hetgraph.Config{})
-		if err != nil {
-			report.record(fault.StageTraining, err, "heterogeneous graph construction failed")
-		} else {
-			func() {
-				sctx, cancel := f.stageCtx(ctx)
-				defer cancel()
-				withPhase(sctx, "train-3dgnn", func(pctx context.Context) {
-					model, _, err = f.fitModel(pctx, hg, ds.Samples(), o.gnnConfig())
-				})
-			}()
-			if err != nil {
-				if terminalFault(err) {
-					return nil, fmt.Errorf("core: analogfold: %w", err)
-				}
-				report.record(fault.StageTraining, err, "3DGNN training failed; dropping model")
+		err = f.stage(ctx, fault.StageTraining, bounded, &t, func(ctx context.Context) (err error) {
+			if hg, err = f.BuildHetGraph(); err == nil {
+				model, _, err = f.fitModel(ctx, hg, ds.Samples(), o.gnnConfig())
 			}
+			return err
+		})
+		if terminalFault(err) {
+			return nil, fmt.Errorf("core: analogfold: %w", err)
+		}
+		if err != nil {
+			report.record(fault.StageTraining, err, "3DGNN training failed; dropping model")
 		}
 	}
-	trainTime := time.Since(tTrain)
-
-	best, relaxTime, routeTime, err := f.relaxAndRoute(ctx, model, hg, report)
-	if err != nil {
-		return nil, err
-	}
-	best.Runtime = relaxTime + routeTime
-	best.Times = StageTimes{
-		Placement:         f.placeTime,
-		ConstructDatabase: dbTime,
-		ModelTraining:     trainTime,
-		GuideGeneration:   relaxTime,
-		GuidedRouting:     routeTime,
-	}
-	best.Degradation = report
-	return best, nil
+	return f.relaxAndRoute(ctx, model, hg, report, t)
 }
 
 // relaxAndRoute is the post-training half of the AnalogFold flow: potential
 // relaxation over model (when non-nil) followed by the guided-routing ladder.
 // It is shared by the cold path (RunAnalogFold, which just trained model) and
 // the warm serving path (RunAnalogFoldWarm, which reuses a loaded checkpoint
-// across requests). All routing and evaluation happens on per-call cloned
-// grids, so concurrent callers may share one Flow and one Model.
-func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph, report *DegradationReport) (*Outcome, time.Duration, time.Duration, error) {
-	o := f.Opts
-	var err error
-
+// across requests). t holds the earlier stage times; the outcome carries them
+// plus relaxation and routing, and report. All routing and evaluation happens
+// on per-call cloned grids, so concurrent callers may share one Flow and one
+// Model.
+func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph, report *DegradationReport, t StageTimes) (*Outcome, error) {
 	// Guidance generation: potential relaxation over the trained model.
-	tRelax := time.Now()
 	var rres *relax.Result
 	if model != nil {
-		func() {
-			sctx, cancel := f.stageCtx(ctx)
-			defer cancel()
-			withPhase(sctx, "relaxation", func(pctx context.Context) {
-				rres, err = relaxOptimize(pctx, model, hg, o.relaxConfig())
-			})
-		}()
+		err := f.stage(ctx, fault.StageRelaxation, bounded, &t, func(ctx context.Context) (err error) {
+			rres, err = relaxOptimize(ctx, model, hg, f.Opts.relaxConfig())
+			return err
+		})
+		if terminalFault(err) {
+			return nil, fmt.Errorf("core: analogfold: %w", err)
+		}
 		if err != nil {
-			if terminalFault(err) {
-				return nil, 0, 0, fmt.Errorf("core: analogfold: %w", err)
-			}
 			report.record(fault.StageRelaxation, err, "relaxation failed; falling back to uniform guidance")
 			rres = nil
 		} else {
@@ -543,16 +519,28 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 			report.RelaxDropped = rres.Dropped
 		}
 	}
-	relaxTime := time.Since(tRelax)
 
-	// Guided routing: route every derived guidance set concurrently on a
-	// cloned grid and keep the best measured FoM (the model's normalization
-	// makes the FoM scale-free). Per-candidate failures step down the ladder
-	// — next elite, then uniform guidance — and the winner is chosen scanning
-	// in guidance order so ties resolve the same way for any worker count.
-	tRoute := time.Now()
-	sctx, cancel := f.stageCtx(ctx)
-	defer cancel()
+	var best *Outcome
+	err := f.stage(ctx, fault.StageRouting, bounded, &t, func(ctx context.Context) (err error) {
+		best, err = f.routeLadder(ctx, model, rres, report)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	best.Times = t
+	best.Degradation = report
+	return best, nil
+}
+
+// routeLadder is the guided-routing stage: route every derived guidance set
+// concurrently on a cloned grid and keep the best measured FoM (the model's
+// normalization makes the FoM scale-free). Per-candidate failures step down
+// the ladder — next elite, then uniform guidance — and the winner is chosen
+// scanning in guidance order so ties resolve the same way for any worker
+// count.
+func (f *Flow) routeLadder(ctx context.Context, model *gnn3d.Model, rres *relax.Result, report *DegradationReport) (*Outcome, error) {
+	o := f.Opts
 	type candidate struct {
 		ok           bool
 		err          error
@@ -563,29 +551,26 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 	}
 	var best *Outcome
 	if rres != nil {
-		var cands []candidate
-		withPhase(sctx, "guided-routing", func(pctx context.Context) {
-			cands, err = parallel.Map(pctx, o.Workers, len(rres.Guides), func(i int) (candidate, error) {
-				g := f.Grid.Clone()
-				res, rerr := route.RouteCtx(pctx, g, rres.Guides[i], o.RouteCfg)
-				if rerr != nil {
-					if terminalFault(rerr) {
-						return candidate{}, rerr
-					}
-					return candidate{err: rerr}, nil
+		cands, err := parallel.Map(ctx, o.Workers, len(rres.Guides), func(i int) (candidate, error) {
+			g := f.Grid.Clone()
+			res, rerr := route.RouteCtx(ctx, g, rres.Guides[i], o.RouteCfg)
+			if rerr != nil {
+				if terminalFault(rerr) {
+					return candidate{}, rerr
 				}
-				m, merr := f.evaluateRoutedOn(g, res)
-				if merr != nil {
-					return candidate{err: merr}, nil
-				}
-				return candidate{
-					ok: true, metrics: m, fom: scalarFoM(model, m),
-					wirelengthNm: res.WirelengthNm, vias: res.Vias,
-				}, nil
-			})
+				return candidate{err: rerr}, nil
+			}
+			m, merr := f.evaluateRoutedOn(g, res)
+			if merr != nil {
+				return candidate{err: merr}, nil
+			}
+			return candidate{
+				ok: true, metrics: m, fom: scalarFoM(model, m),
+				wirelengthNm: res.WirelengthNm, vias: res.Vias,
+			}, nil
 		})
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("core: analogfold: %w", err)
+			return nil, fmt.Errorf("core: analogfold: %w", err)
 		}
 		report.CandidatesTried = len(cands)
 		var bestFoM float64
@@ -606,42 +591,41 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 			}
 		}
 	}
+	if best != nil {
+		return best, nil
+	}
 
 	// Ladder bottom: no elite routed (or no guidance at all). Route with
 	// uniform guidance — with a trained model this is the "uniform" rung;
 	// with the learning stack gone it is exactly the MagicalRoute baseline.
-	if best == nil {
-		rung := RungMagical
-		if model != nil {
-			rung = RungUniform
-			report.record(fault.StageRouting, nil, "no elite candidate routed; degrading to uniform guidance")
-		} else {
-			report.record(fault.StageRouting, nil, "learning stack unavailable; degrading to MagicalRoute baseline")
-		}
-		g := f.Grid.Clone()
-		res, rerr := route.RouteCtx(sctx, g, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
-		if rerr != nil {
-			// The unguided baseline is the last rung; its failure is the
-			// flow's failure, typed and attributed.
-			if terminalFault(rerr) {
-				return nil, 0, 0, fmt.Errorf("core: analogfold: %w", rerr)
-			}
-			return nil, 0, 0, fault.Wrap(fault.StageRouting, fault.ErrRouteFailed, rerr,
-				"core: analogfold: degradation ladder exhausted")
-		}
-		m, merr := f.evaluateRoutedOn(g, res)
-		if merr != nil {
-			return nil, 0, 0, fault.Wrap(fault.StageEvaluation, fault.ErrRouteFailed, merr,
-				"core: analogfold: fallback evaluation failed")
-		}
-		report.FinalRung = rung
-		best = &Outcome{
-			Method: MethodAnalogFold, Metrics: m,
-			WirelengthNm: res.WirelengthNm, Vias: res.Vias,
-		}
+	rung := RungMagical
+	if model != nil {
+		rung = RungUniform
+		report.record(fault.StageRouting, nil, "no elite candidate routed; degrading to uniform guidance")
+	} else {
+		report.record(fault.StageRouting, nil, "learning stack unavailable; degrading to MagicalRoute baseline")
 	}
-	routeTime := time.Since(tRoute)
-	return best, relaxTime, routeTime, nil
+	g := f.Grid.Clone()
+	res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
+	if err != nil {
+		// The unguided baseline is the last rung; its failure is the
+		// flow's failure, typed and attributed.
+		if terminalFault(err) {
+			return nil, fmt.Errorf("core: analogfold: %w", err)
+		}
+		return nil, fault.Wrap(fault.StageRouting, fault.ErrRouteFailed, err,
+			"core: analogfold: degradation ladder exhausted")
+	}
+	m, err := f.evaluateRoutedOn(g, res)
+	if err != nil {
+		return nil, fault.Wrap(fault.StageEvaluation, fault.ErrRouteFailed, err,
+			"core: analogfold: fallback evaluation failed")
+	}
+	report.FinalRung = rung
+	return &Outcome{
+		Method: MethodAnalogFold, Metrics: m,
+		WirelengthNm: res.WirelengthNm, Vias: res.Vias,
+	}, nil
 }
 
 // scalarFoM folds the five metrics into one lower-is-better scalar using the

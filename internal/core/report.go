@@ -56,7 +56,7 @@ func BuildJSONReport(rows []*Row, now time.Time) *JSONReport {
 				BandwidthMHz: o.Metrics.BandwidthMHz, GainDB: o.Metrics.GainDB,
 				NoiseUVrms: o.Metrics.NoiseUVrms,
 			},
-			RuntimeSec:   o.Runtime.Seconds(),
+			RuntimeSec:   o.Runtime().Seconds(),
 			WirelengthUm: float64(o.WirelengthNm) / 1000,
 			Vias:         o.Vias,
 		}

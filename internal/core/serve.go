@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"analogfold/internal/fault"
 	"analogfold/internal/gnn3d"
 	"analogfold/internal/hetgraph"
 	"analogfold/internal/netlist"
@@ -42,19 +43,7 @@ func (f *Flow) RunAnalogFoldWarm(ctx context.Context, model *gnn3d.Model, hg *he
 			return nil, err
 		}
 	}
-	report := &DegradationReport{FinalRung: RungElite}
-	best, relaxTime, routeTime, err := f.relaxAndRoute(ctx, model, hg, report)
-	if err != nil {
-		return nil, err
-	}
-	best.Runtime = relaxTime + routeTime
-	best.Times = StageTimes{
-		Placement:       f.placeTime,
-		GuideGeneration: relaxTime,
-		GuidedRouting:   routeTime,
-	}
-	best.Degradation = report
-	return best, nil
+	return f.relaxAndRoute(ctx, model, hg, &DegradationReport{FinalRung: RungElite}, StageTimes{Placement: f.placeTime})
 }
 
 // DeriveGuidanceWarm runs only the potential relaxation on a warm model and
@@ -84,15 +73,13 @@ func (f *Flow) deriveGuidance(ctx context.Context, model *gnn3d.Model, hg *hetgr
 			return nil, err
 		}
 	}
-	o := f.Opts
-	sctx, cancel := f.stageCtx(ctx)
-	defer cancel()
 	var rres *relax.Result
-	var err error
-	withPhase(sctx, "relaxation", func(pctx context.Context) {
-		cfg := o.relaxConfig()
+	var t StageTimes // the guidance payload reports no stage times
+	err := f.stage(ctx, fault.StageRelaxation, bounded, &t, func(ctx context.Context) (err error) {
+		cfg := f.Opts.relaxConfig()
 		cfg.DeferScoring = deferScoring
-		rres, err = relaxOptimize(pctx, model, hg, cfg)
+		rres, err = relaxOptimize(ctx, model, hg, cfg)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: warm guidance: %w", err)

@@ -112,7 +112,7 @@ func FormatRow(r *Row) string {
 	line("Noise", "µVrms", r.Schematic.NoiseUVrms, true,
 		r.Magical.Metrics.NoiseUVrms, r.Genius.Metrics.NoiseUVrms, r.Ours.Metrics.NoiseUVrms)
 	fmt.Fprintf(&b, "  %-22s %10s %10.3g %10.3g %10.3g\n", "Runtime(s)", "-",
-		r.Magical.Runtime.Seconds(), r.Genius.Runtime.Seconds(), r.Ours.Runtime.Seconds())
+		r.Magical.Runtime().Seconds(), r.Genius.Runtime().Seconds(), r.Ours.Runtime().Seconds())
 	return b.String()
 }
 
@@ -141,7 +141,7 @@ func Summarize(rows []*Row) Summary {
 		vals := func(o *Outcome) [6]float64 {
 			return [6]float64{
 				o.Metrics.OffsetUV, o.Metrics.CMRRdB, o.Metrics.BandwidthMHz,
-				o.Metrics.GainDB, o.Metrics.NoiseUVrms, o.Runtime.Seconds(),
+				o.Metrics.GainDB, o.Metrics.NoiseUVrms, o.Runtime().Seconds(),
 			}
 		}
 		mv, gv, ov := vals(r.Magical), vals(r.Genius), vals(r.Ours)

@@ -143,10 +143,7 @@ func (t *Telemetry) nowUS() int64 { return t.clock().Sub(t.epoch).Microseconds()
 // the same finalizer the parallel layer uses for restart RNG seeds, so IDs
 // are a pure function of (seed, creation index).
 func (t *Telemetry) nextID() uint64 {
-	z := uint64(t.seed) + 0x9e3779b97f4a7c15*t.idCounter.Add(1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix64(uint64(t.seed) + 0x9e3779b97f4a7c15*t.idCounter.Add(1))
 }
 
 // telKey and spanKey carry the sink and the active span on the context chain.

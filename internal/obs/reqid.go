@@ -59,17 +59,8 @@ func ridSeed() uint64 {
 // digits. IDs are for correlation only — they carry no ordering or security
 // meaning.
 func NewRequestID() string {
-	z := ridBase + 0x9e3779b97f4a7c15*ridCounter.Add(1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	const hexDigits = "0123456789abcdef"
 	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = hexDigits[z&0xf]
-		z >>= 4
-	}
-	return string(buf[:])
+	return string(appendHex16(buf[:0], Mix64(ridBase+0x9e3779b97f4a7c15*ridCounter.Add(1))))
 }
 
 // FNV64a is the 64-bit FNV-1a hash — the shared content-hash primitive for

@@ -193,7 +193,7 @@ func BuildRouteResponse(ctx context.Context, f *core.Flow, model *gnn3d.Model, h
 		BandwidthMHz: out.Metrics.BandwidthMHz,
 		GainDB:       out.Metrics.GainDB,
 		NoiseUVrms:   out.Metrics.NoiseUVrms,
-		RuntimeMS:    float64(out.Runtime.Microseconds()) / 1e3,
+		RuntimeMS:    float64(out.Runtime().Microseconds()) / 1e3,
 	}
 	for _, e := range out.Degradation.Events {
 		resp.Events = append(resp.Events, e.String())

@@ -153,10 +153,14 @@ func (f *Front) Serve(w http.ResponseWriter, r *http.Request, into any, work fun
 	return ow.status
 }
 
-// decodeBody reads at most maxRequestBytes of body and decodes it as JSON
-// into into. A longer body is cut off, so it fails to decode.
+// decodeBody reads body and decodes it as JSON into into. It reads one byte
+// past maxRequestBytes, so a longer body is refused whatever its first MiB
+// holds.
 func decodeBody(body io.Reader, into any) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(body, maxRequestBytes))
+	b, err := io.ReadAll(io.LimitReader(body, maxRequestBytes+1))
+	if err == nil && len(b) > maxRequestBytes {
+		err = fmt.Errorf("body exceeds %d bytes", maxRequestBytes)
+	}
 	if err == nil {
 		err = json.Unmarshal(b, into)
 	}

@@ -278,3 +278,37 @@ func TestStagesDoNotOverlap(t *testing.T) {
 			r["relax"], r["score"], rPhase)
 	}
 }
+
+// TestBreakerOpenRouteAttributed pins that the route a breaker-open
+// /v1/route serves from the ladder bottom is a routing stage like any other:
+// the response's timing header carries a route entry and the flight recorder
+// holds a guided-routing span.
+func TestBreakerOpenRouteAttributed(t *testing.T) {
+	tel := obs.New(obs.Options{Seed: 5})
+	s := New(trainedModel(t), Config{Opts: testOpts(), Telemetry: tel, BreakerThreshold: 1})
+	s.brk.record(true)
+	if state, _, _ := s.brk.snapshot(); state != breakerOpen {
+		t.Fatalf("breaker state = %s, want open", state)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, b := postJSON(t, ts.URL+"/v1/route", `{"bench":"OTA1-A","seed":4}`)
+	var rr RouteResponse
+	if err := json.Unmarshal(b, &rr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d body %s: %v", resp.StatusCode, b, err)
+	}
+	if rr.Rung != string(core.RungMagical) || !rr.Degraded {
+		t.Fatalf("rung %q degraded %v, want the breaker-open magical rung", rr.Rung, rr.Degraded)
+	}
+	if stages := parseTimingHeader(t, resp.Header.Get(HeaderTiming)); stages["route"] <= 0 {
+		t.Errorf("timing stages %v: want a route stage", stages)
+	}
+	spanned := false
+	for _, e := range tel.Recorder().Snapshot() {
+		spanned = spanned || e.Name == "guided-routing"
+	}
+	if !spanned {
+		t.Error("no guided-routing span recorded")
+	}
+}
