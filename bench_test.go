@@ -150,11 +150,13 @@ func BenchmarkFig6Render(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := f.RunGeniusRouted(context.Background())
+		gd, err := f.GeniusGuidance(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = res
+		if _, err := f.Route(context.Background(), gd); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -9,11 +9,6 @@ import (
 	"analogfold/internal/atomicfile"
 	"analogfold/internal/circuit"
 	"analogfold/internal/extract"
-	"analogfold/internal/grid"
-	"analogfold/internal/guidance"
-	"analogfold/internal/place"
-	"analogfold/internal/route"
-	"analogfold/internal/tech"
 )
 
 // cmdBode writes schematic and post-layout AC sweeps (Bode data) as CSV and
@@ -26,23 +21,12 @@ func cmdBode(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, prof, err := parseBench(*bench)
+	f, res, err := uniformRoute(ctx, *bench, *seed)
 	if err != nil {
 		return err
 	}
-	p, err := place.Place(c, place.Config{Profile: prof, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	g, err := grid.Build(p, tech.Sim40())
-	if err != nil {
-		return err
-	}
-	res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(c.Nets)), route.Config{})
-	if err != nil {
-		return err
-	}
-	par := extract.Extract(g, res)
+	c := f.Circuit
+	par := extract.Extract(f.Grid, res)
 
 	emit := func(label string, pr *extract.Parasitics) error {
 		s, err := circuit.NewSimulator(c, pr)

@@ -13,11 +13,6 @@ import (
 	"analogfold/internal/core"
 	"analogfold/internal/export"
 	"analogfold/internal/extract"
-	"analogfold/internal/grid"
-	"analogfold/internal/guidance"
-	"analogfold/internal/place"
-	"analogfold/internal/route"
-	"analogfold/internal/tech"
 )
 
 // cmdAblate runs the design-choice ablation study of DESIGN.md §4.
@@ -60,23 +55,12 @@ func cmdExport(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, prof, err := parseBench(*bench)
+	f, res, err := uniformRoute(ctx, *bench, *seed)
 	if err != nil {
 		return err
 	}
-	p, err := place.Place(c, place.Config{Profile: prof, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	g, err := grid.Build(p, tech.Sim40())
-	if err != nil {
-		return err
-	}
-	res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(c.Nets)), route.Config{})
-	if err != nil {
-		return err
-	}
-	par := extract.Extract(g, res)
+	c := f.Circuit
+	par := extract.Extract(f.Grid, res)
 
 	// Render each artifact in memory and publish it atomically, so an
 	// interrupted export never leaves a torn .sp/.spef/.def on disk.
@@ -98,7 +82,7 @@ func cmdExport(ctx context.Context, args []string) error {
 	if err := write(c.Name+".spef", func(w io.Writer) error { return export.WriteSPEF(w, c, par) }); err != nil {
 		return err
 	}
-	return write(c.Name+".def", func(w io.Writer) error { return export.WriteDEF(w, g, res) })
+	return write(c.Name+".def", func(w io.Writer) error { return export.WriteDEF(w, f.Grid, res) })
 }
 
 // cmdTransient prints the small-signal step response of a benchmark before
@@ -110,23 +94,12 @@ func cmdTransient(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, prof, err := parseBench(*bench)
+	f, res, err := uniformRoute(ctx, *bench, *seed)
 	if err != nil {
 		return err
 	}
-	p, err := place.Place(c, place.Config{Profile: prof, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	g, err := grid.Build(p, tech.Sim40())
-	if err != nil {
-		return err
-	}
-	res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(c.Nets)), route.Config{})
-	if err != nil {
-		return err
-	}
-	par := extract.Extract(g, res)
+	c := f.Circuit
+	par := extract.Extract(f.Grid, res)
 
 	const step = 1e-5
 	show := func(label string, pr *extract.Parasitics) error {
@@ -164,23 +137,11 @@ func cmdMC(ctx context.Context, args []string) error {
 		return err
 	}
 	defer pr.stop()
-	c, prof, err := parseBench(*bench)
+	f, res, err := uniformRoute(ctx, *bench, *seed)
 	if err != nil {
 		return err
 	}
-	p, err := place.Place(c, place.Config{Profile: prof, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	g, err := grid.Build(p, tech.Sim40())
-	if err != nil {
-		return err
-	}
-	res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(c.Nets)), route.Config{})
-	if err != nil {
-		return err
-	}
-	s, err := circuit.NewSimulator(c, extract.Extract(g, res))
+	s, err := circuit.NewSimulator(f.Circuit, extract.Extract(f.Grid, res))
 	if err != nil {
 		return err
 	}

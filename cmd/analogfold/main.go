@@ -12,6 +12,14 @@
 //	analogfold export [-bench OTA1-A]    # SPICE + SPEF + DEF artifacts
 //	analogfold transient [-bench OTA1-A] # step response before/after routing
 //	analogfold validate [-bench OTA1-A]  # 3DGNN held-out generalization report
+//	analogfold bode   [-bench OTA1-A]    # AC sweeps (CSV) + phase margins
+//	analogfold mc     [-bench OTA1-A]    # Monte Carlo offset analysis
+//	analogfold train  [-bench OTA1-A]    # train a 3DGNN checkpoint for analogfoldd
+//	analogfold guidance [-bench OTA1-A]  # derive guidance from a checkpoint
+//
+// Every command that places does so through core.NewFlow. route, export,
+// transient, mc and bode route the flow's placement with uniform guidance
+// (Table 2's MagicalRoute layout), and dataset labels on it.
 package main
 
 import (
@@ -34,12 +42,10 @@ import (
 	"analogfold/internal/core"
 	"analogfold/internal/dataset"
 	"analogfold/internal/drc"
-	"analogfold/internal/grid"
 	"analogfold/internal/guidance"
 	"analogfold/internal/netlist"
 	"analogfold/internal/place"
 	"analogfold/internal/route"
-	"analogfold/internal/tech"
 	"analogfold/internal/viz"
 )
 
@@ -104,6 +110,23 @@ func usage() {
 // CLI and the analogfoldd daemon accept exactly the same benchmark names.
 func parseBench(name string) (*netlist.Circuit, place.Profile, error) {
 	return core.ParseBenchmark(name)
+}
+
+// uniformRoute places bench through core.NewFlowCtx at the default scale
+// with seed and routes it with uniform guidance through the flow: the layout
+// of Table 2's MagicalRoute cell. route, export, transient, mc and bode all
+// start from it.
+func uniformRoute(ctx context.Context, bench string, seed int64) (*core.Flow, *route.Result, error) {
+	c, p, err := parseBench(bench)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := core.NewFlowCtx(ctx, c, p, core.Options{Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := f.Route(ctx, guidance.Uniform(len(c.Nets)))
+	return f, res, err
 }
 
 // optionsFlags registers the flow-option flags shared with analogfoldd.
@@ -238,12 +261,19 @@ func cmdFig6(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	// GeniusRoute solution.
-	gen, err := f.RunGeniusRouted(ctx)
+	// GeniusRoute solution, then ours, each routed through the flow.
+	gd, err := f.GeniusGuidance(ctx)
 	if err != nil {
 		return err
 	}
-	ours, err := f.RunAnalogFoldRouted(ctx)
+	gen, err := f.Route(ctx, gd)
+	if err != nil {
+		return err
+	}
+	if gd, err = f.DeriveGuidance(ctx); err != nil {
+		return err
+	}
+	ours, err := f.Route(ctx, gd)
 	if err != nil {
 		return err
 	}
@@ -303,25 +333,13 @@ func cmdRoute(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, prof, err := parseBench(*bench)
-	if err != nil {
-		return err
-	}
-	p, err := place.Place(c, place.Config{Profile: prof, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	g, err := grid.Build(p, tech.Sim40())
-	if err != nil {
-		return err
-	}
-	res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(c.Nets)), route.Config{})
+	f, res, err := uniformRoute(ctx, *bench, *seed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s: routed in %d iterations\n", *bench, res.Iterations)
-	fmt.Print(route.Report(g, res).String())
-	vs := drc.Check(g, res)
+	fmt.Print(route.Report(f.Grid, res).String())
+	vs := drc.Check(f.Grid, res)
 	fmt.Printf("DRC: %d violations\n", len(vs))
 	for _, v := range vs {
 		fmt.Println("  ", v)
@@ -368,11 +386,9 @@ func cmdDataset(ctx context.Context, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	p, err := place.Place(c, place.Config{Profile: prof, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	g, err := grid.Build(p, tech.Sim40())
+	// Label on the flow's placement at the default scale, which is what a
+	// default daemon's /v1/dataset/shard labels on for the same -seed.
+	f, err := core.NewFlowCtx(ctx, c, prof, core.Options{Seed: *seed, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -381,14 +397,14 @@ func cmdDataset(ctx context.Context, args []string) (err error) {
 	var ds *dataset.Dataset
 	if *resumeDir != "" {
 		var rep *dataset.ResumeReport
-		ds, rep, err = dataset.GenerateResumable(ctx, c.Name, len(c.Nets), cfg, *resumeDir, dataset.LocalExec(g, cfg))
+		ds, rep, err = dataset.GenerateResumable(ctx, c.Name, len(c.Nets), cfg, *resumeDir, dataset.LocalExec(f.Grid, cfg))
 		if err != nil {
 			return err
 		}
 		fmt.Printf("shards: %d resumed, %d generated, %d corrupt regenerated\n",
 			rep.Resumed, rep.Generated, rep.Corrupt)
 	} else {
-		ds, err = dataset.Generate(ctx, g, cfg)
+		ds, err = dataset.Generate(ctx, f.Grid, cfg)
 		if err != nil {
 			return err
 		}

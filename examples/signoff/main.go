@@ -1,8 +1,8 @@
 // signoff runs the verification artifacts an analog layout goes through
 // after routing: DRC, LVS, parasitic extraction to SPEF, AC sweep with phase
 // margin, step response, and Monte Carlo offset analysis. It demonstrates
-// the substrate packages as a standalone sign-off toolkit, independent of the
-// ML flow.
+// the substrate packages as a sign-off toolkit on the layout of Table 2's
+// MagicalRoute cell: the flow's placement, routed with uniform guidance.
 //
 // Run with:
 //
@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -17,16 +18,15 @@ import (
 	"path/filepath"
 
 	"analogfold/internal/circuit"
+	"analogfold/internal/core"
 	"analogfold/internal/drc"
 	"analogfold/internal/export"
 	"analogfold/internal/extract"
-	"analogfold/internal/grid"
 	"analogfold/internal/guidance"
 	"analogfold/internal/lvs"
 	"analogfold/internal/netlist"
 	"analogfold/internal/place"
 	"analogfold/internal/route"
-	"analogfold/internal/tech"
 )
 
 func main() {
@@ -34,15 +34,12 @@ func main() {
 	flag.Parse()
 
 	c := netlist.OTA3()
-	p, err := place.Place(c, place.Config{Profile: place.ProfileA, Seed: 1})
+	flow, err := core.NewFlow(c, place.ProfileA, core.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := grid.Build(p, tech.Sim40())
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := route.Route(g, guidance.Uniform(len(c.Nets)), route.Config{})
+	g := flow.Grid
+	res, err := flow.Route(context.Background(), guidance.Uniform(len(c.Nets)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,17 +44,20 @@ func TestEndToEndVerified(t *testing.T) {
 		}
 	}
 
-	genius, err := f.RunGeniusRouted(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range []struct {
+		name  string
+		guide func(context.Context) (guidance.Set, error)
+	}{{"genius", f.GeniusGuidance}, {"analogfold", f.DeriveGuidance}} {
+		gd, err := m.guide(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Route(context.Background(), gd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify(m.name, res)
 	}
-	verify("genius", genius)
-
-	ours, err := f.RunAnalogFoldRouted(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify("analogfold", ours)
 
 	// Metrics must be produced by all methods and stay physical.
 	sch, err := f.Schematic()

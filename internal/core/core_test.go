@@ -13,6 +13,7 @@ import (
 
 	"analogfold/internal/fault"
 	"analogfold/internal/gnn3d"
+	"analogfold/internal/guidance"
 	"analogfold/internal/hetgraph"
 	"analogfold/internal/netlist"
 	"analogfold/internal/obs"
@@ -51,6 +52,39 @@ func TestFlowSchematicAndMagical(t *testing.T) {
 	}
 	if mag.Runtime() <= 0 || mag.WirelengthNm <= 0 {
 		t.Errorf("outcome bookkeeping empty: %+v", mag)
+	}
+}
+
+// TestMagicalIsUniformRoute pins one routing path: the MagicalRoute cell is
+// Route with uniform guidance on the same flow, which runs as one
+// guided-routing stage.
+func TestMagicalIsUniformRoute(t *testing.T) {
+	c := netlist.OTA1()
+	f, err := NewFlow(c, place.ProfileA, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mag, err := f.RunMagical(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := obs.New(obs.Options{Seed: 1})
+	res, err := f.Route(obs.WithTelemetry(context.Background(), tel), guidance.Uniform(len(c.Nets)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mag.WirelengthNm != res.WirelengthNm || mag.Vias != res.Vias {
+		t.Errorf("RunMagical %d nm / %d vias, Route(Uniform) %d nm / %d vias",
+			mag.WirelengthNm, mag.Vias, res.WirelengthNm, res.Vias)
+	}
+	n := 0
+	for _, e := range tel.Recorder().Snapshot() {
+		if fault.Stage(e.Name) == fault.StageRouting {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("Route recorded %d %s spans, want 1", n, fault.StageRouting)
 	}
 }
 

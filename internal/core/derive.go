@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"analogfold/internal/fault"
 	"analogfold/internal/guidance"
 	"analogfold/internal/route"
 )
@@ -28,33 +29,28 @@ func (f *Flow) DeriveGuidance(ctx context.Context) (guidance.Set, error) {
 	return rres.Guides[0], nil
 }
 
-// RunAnalogFoldRouted derives guidance and returns the routed solution, for
-// rendering (Figure 6).
-func (f *Flow) RunAnalogFoldRouted(ctx context.Context) (*route.Result, error) {
-	gd, err := f.DeriveGuidance(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := route.RouteCtx(ctx, f.Grid, gd, f.Opts.RouteCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: analogfold route: %w", err)
-	}
-	return res, nil
-}
-
-// RunGeniusRouted runs the GeniusRoute baseline and returns the routed
-// solution, for rendering (Figure 6).
-func (f *Flow) RunGeniusRouted(ctx context.Context) (*route.Result, error) {
+// GeniusGuidance returns the guidance the GeniusRoute baseline routes with
+// (see geniusGuidance), for rendering (Figure 6).
+func (f *Flow) GeniusGuidance(ctx context.Context) (guidance.Set, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	gd, err := f.geniusGuidance(ctx, new(StageTimes))
-	if err != nil {
-		return nil, err
-	}
-	res, err := route.RouteCtx(ctx, f.Grid, gd, f.Opts.RouteCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: genius route: %w", err)
-	}
-	return res, nil
+	return f.geniusGuidance(ctx, new(StageTimes))
+}
+
+// Route is the flow's one routing entry point: it routes gd on the flow's
+// grid with Opts.RouteCfg as one bounded guided-routing stage. With uniform
+// guidance it is Table 2's MagicalRoute layout; every command that exports,
+// simulates or renders a routed solution routes through it.
+func (f *Flow) Route(ctx context.Context, gd guidance.Set) (*route.Result, error) {
+	return f.routeStage(ctx, gd, new(StageTimes))
+}
+
+// routeStage is Route with the stage's time added to t.GuidedRouting.
+func (f *Flow) routeStage(ctx context.Context, gd guidance.Set, t *StageTimes) (res *route.Result, err error) {
+	err = f.stage(ctx, fault.StageRouting, bounded, t, func(ctx context.Context) (err error) {
+		res, err = route.RouteCtx(ctx, f.Grid, gd, f.Opts.RouteCfg)
+		return err
+	})
+	return res, err
 }

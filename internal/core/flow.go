@@ -352,18 +352,14 @@ func (f *Flow) RunGenius(ctx context.Context) (*Outcome, error) {
 	return f.routeBaseline(ctx, MethodGenius, gd, t)
 }
 
-// routeBaseline is the back half of both baselines: it routes gd in one
-// routing stage on the flow's grid and evaluates the result. t holds the
-// method's earlier stage times.
+// routeBaseline is the back half of both baselines: it routes gd as Route
+// does, timed into t, and evaluates the result. t holds the method's earlier
+// stage times.
 func (f *Flow) routeBaseline(ctx context.Context, method Method, gd guidance.Set, t StageTimes) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var res *route.Result
-	err := f.stage(ctx, fault.StageRouting, bounded, &t, func(ctx context.Context) (err error) {
-		res, err = route.RouteCtx(ctx, f.Grid, gd, f.Opts.RouteCfg)
-		return err
-	})
+	res, err := f.routeStage(ctx, gd, &t)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s route: %w", method, err)
 	}

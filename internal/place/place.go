@@ -62,15 +62,12 @@ func (p Profile) NetWeight(t netlist.NetType) float64 {
 type Config struct {
 	Profile    Profile
 	Seed       int64
-	Iterations int // annealing moves; 0 selects a size-scaled default
+	Iterations int // annealing moves; must be positive
 	Margin     int // die margin around cells in nm; 0 selects default
 	GridPitch  int // routing pitch cells snap to; 0 selects default 140
 }
 
-func (c Config) withDefaults(n int) Config {
-	if c.Iterations == 0 {
-		c.Iterations = 4000 + 400*n
-	}
+func (c Config) withDefaults() Config {
 	if c.Margin == 0 {
 		c.Margin = 1400
 	}
@@ -160,7 +157,10 @@ func Place(c *netlist.Circuit, cfg Config) (*Placement, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
-	cfg = cfg.withDefaults(len(c.Devices))
+	if cfg.Iterations <= 0 {
+		return nil, fmt.Errorf("place: %d annealing iterations; need at least 1", cfg.Iterations)
+	}
+	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	st := newState(c, cfg, rng)

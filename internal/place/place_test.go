@@ -176,3 +176,13 @@ func TestPlaceLegalAcrossManySeeds(t *testing.T) {
 		}
 	}
 }
+
+func TestPlaceRefusesNoIterations(t *testing.T) {
+	// The annealing budget has no implicit default: every caller states it
+	// (core.Options.PlaceIters for the flow).
+	for _, n := range []int{0, -1} {
+		if _, err := Place(netlist.OTA1(), Config{Profile: ProfileA, Seed: 1, Iterations: n}); err == nil {
+			t.Errorf("Iterations %d: want an error", n)
+		}
+	}
+}

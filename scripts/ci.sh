@@ -119,6 +119,22 @@ if grep -rn 'fmt\.Print' \
   exit 1
 fi
 
+echo "== placement grep (commands and examples place through core.Flow) =="
+# One placement path: outside tests, only internal/core calls place.Place
+# and grid.Build (besides their own packages), so every command and example
+# routes the layout Table 2 measures, at the flow's annealing budget.
+stray=$(
+  { grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'place\.Place(' . |
+      grep -v -e '^\./internal/core/' -e '^\./internal/place/' || true
+    grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'grid\.Build(' . |
+      grep -v -e '^\./internal/core/' -e '^\./internal/grid/' || true; }
+)
+if [ -n "$stray" ]; then
+  echo "$stray" >&2
+  echo "FAIL: place.Place/grid.Build outside internal/core — build a core.Flow (core.NewFlowCtx) instead" >&2
+  exit 1
+fi
+
 echo "== handler-span grep (every work handler opens a span) =="
 # Every HTTP work/proxy handler must open an obs span so per-request latency
 # attribution and cross-process trace merging see every hop; health probes and
