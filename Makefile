@@ -41,8 +41,11 @@ errcheck:
 # are not: chaos below runs every one of their tests under -race (the
 # faultinject tag only adds the chaos tests to each package's list). Nor is
 # cluster: cluster-chaos runs its whole suite under -race the same way.
+# route's router-reuse and shared-grid tests run ten more times, because a
+# pooled router's state leaking between routes need not show in one run.
 race:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/circuit/ ./internal/gnn3d/ ./internal/ad/ ./internal/tensor/ ./internal/servecache/
+	$(GO) test -race -count=10 -run 'Reuse|Concurrent' ./internal/route/
 
 # chaos compiles the deterministic fault scheduler into the injection points
 # (faultinject build tag) and runs the fault-injection suite under the race

@@ -316,22 +316,8 @@ func (f *Flow) Schematic() (circuit.Metrics, error) {
 
 // evaluateRouted extracts and simulates one routed solution.
 func (f *Flow) evaluateRouted(res *route.Result) (circuit.Metrics, error) {
-	return f.evaluateRoutedOn(f.Grid, res)
-}
-
-// evaluateRoutedOn is evaluateRouted against an explicit (possibly cloned)
-// grid, for concurrent candidate evaluation.
-func (f *Flow) evaluateRoutedOn(g *grid.Grid, res *route.Result) (circuit.Metrics, error) {
-	par := extract.Extract(g, res)
+	par := extract.Extract(f.Grid, res)
 	return circuit.Evaluate(f.Circuit, par)
-}
-
-// cloneForMethod returns a copy of the flow whose grid is independent of the
-// original, so concurrently-running methods never alias lattice state.
-func (f *Flow) cloneForMethod() *Flow {
-	fc := *f
-	fc.Grid = f.Grid.Clone()
-	return &fc
 }
 
 // RunMagical runs the unguided baseline router.
@@ -493,9 +479,9 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 // It is shared by the cold path (RunAnalogFold, which just trained model) and
 // the warm serving path (RunAnalogFoldWarm, which reuses a loaded checkpoint
 // across requests). t holds the earlier stage times; the outcome carries them
-// plus relaxation and routing, and report. All routing and evaluation happens
-// on per-call cloned grids, so concurrent callers may share one Flow and one
-// Model.
+// plus relaxation and routing, and report. The grid is read-only after
+// NewFlow and every route takes its own pooled scratch, so concurrent callers
+// may share one Flow and one Model.
 func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph, report *DegradationReport, t StageTimes) (*Outcome, error) {
 	// Guidance generation: potential relaxation over the trained model.
 	var rres *relax.Result
@@ -530,11 +516,11 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 }
 
 // routeLadder is the guided-routing stage: route every derived guidance set
-// concurrently on a cloned grid and keep the best measured FoM (the model's
-// normalization makes the FoM scale-free). Per-candidate failures step down
-// the ladder — next elite, then uniform guidance — and the winner is chosen
-// scanning in guidance order so ties resolve the same way for any worker
-// count.
+// concurrently on the flow's read-only grid and keep the best measured FoM
+// (the model's normalization makes the FoM scale-free). Per-candidate
+// failures step down the ladder — next elite, then uniform guidance — and the
+// winner is chosen scanning in guidance order so ties resolve the same way
+// for any worker count.
 func (f *Flow) routeLadder(ctx context.Context, model *gnn3d.Model, rres *relax.Result, report *DegradationReport) (*Outcome, error) {
 	o := f.Opts
 	type candidate struct {
@@ -548,15 +534,14 @@ func (f *Flow) routeLadder(ctx context.Context, model *gnn3d.Model, rres *relax.
 	var best *Outcome
 	if rres != nil {
 		cands, err := parallel.Map(ctx, o.Workers, len(rres.Guides), func(i int) (candidate, error) {
-			g := f.Grid.Clone()
-			res, rerr := route.RouteCtx(ctx, g, rres.Guides[i], o.RouteCfg)
+			res, rerr := route.RouteCtx(ctx, f.Grid, rres.Guides[i], o.RouteCfg)
 			if rerr != nil {
 				if terminalFault(rerr) {
 					return candidate{}, rerr
 				}
 				return candidate{err: rerr}, nil
 			}
-			m, merr := f.evaluateRoutedOn(g, res)
+			m, merr := f.evaluateRouted(res)
 			if merr != nil {
 				return candidate{err: merr}, nil
 			}
@@ -601,8 +586,7 @@ func (f *Flow) routeLadder(ctx context.Context, model *gnn3d.Model, rres *relax.
 	} else {
 		report.record(fault.StageRouting, nil, "learning stack unavailable; degrading to MagicalRoute baseline")
 	}
-	g := f.Grid.Clone()
-	res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
+	res, err := route.RouteCtx(ctx, f.Grid, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
 	if err != nil {
 		// The unguided baseline is the last rung; its failure is the
 		// flow's failure, typed and attributed.
@@ -612,7 +596,7 @@ func (f *Flow) routeLadder(ctx context.Context, model *gnn3d.Model, rres *relax.
 		return nil, fault.Wrap(fault.StageRouting, fault.ErrRouteFailed, err,
 			"core: analogfold: degradation ladder exhausted")
 	}
-	m, err := f.evaluateRoutedOn(g, res)
+	m, err := f.evaluateRouted(res)
 	if err != nil {
 		return nil, fault.Wrap(fault.StageEvaluation, fault.ErrRouteFailed, err,
 			"core: analogfold: fallback evaluation failed")

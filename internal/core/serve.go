@@ -27,7 +27,7 @@ func (f *Flow) BuildHetGraph() (*hetgraph.Graph, error) {
 // RunAnalogFoldWarm is the request-scoped serving entry point: it reuses an
 // already-trained model (a loaded checkpoint) and a prebuilt heterogeneous
 // graph, skipping database construction and 3DGNN training entirely. Routing
-// and evaluation run on per-request cloned grids, so any number of concurrent
+// and evaluation only read the flow's grid, so any number of concurrent
 // requests may share one Flow and one Model. The failure model matches
 // RunAnalogFold: cancellation and deadlines abort with a typed fault, every
 // other failure walks the elite → uniform → MagicalRoute ladder and is

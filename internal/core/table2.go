@@ -22,9 +22,10 @@ type Row struct {
 }
 
 // RunBenchmark executes all methods on one (circuit, placement profile) pair.
-// The three routed methods run concurrently, each on a flow copy with a
-// cloned grid, so no lattice or per-method state is shared; each method is
-// internally deterministic, so the row is identical to a serial run.
+// The three routed methods run concurrently on the one flow, whose grid is
+// read-only after placement; each route takes its own router scratch and
+// each method is internally deterministic, so the row is identical to a
+// serial run.
 // Opts.TotalTimeout, when set, bounds the whole row; overruns surface as a
 // typed fault.ErrTimeout.
 func RunBenchmark(ctx context.Context, c *netlist.Circuit, profile place.Profile, opts Options) (*Row, error) {
@@ -53,7 +54,7 @@ func RunBenchmark(ctx context.Context, c *netlist.Circuit, profile place.Profile
 		{(*Flow).RunAnalogFold, &row.Ours},
 	}
 	if err := parallel.ForEach(ctx, opts.Workers, len(methods), func(i int) error {
-		out, err := methods[i].run(f.cloneForMethod(), ctx)
+		out, err := methods[i].run(f, ctx)
 		if err != nil {
 			return err
 		}

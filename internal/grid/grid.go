@@ -22,7 +22,8 @@ type AccessPoint struct {
 	Pos      geom.Point  // absolute nm position of the grid point
 }
 
-// Grid is the routing lattice for one placement.
+// Grid is the routing lattice for one placement. It is read-only after
+// Build, so any number of goroutines may route on one Grid at once.
 type Grid struct {
 	Tech  *tech.Tech
 	Place *place.Placement
@@ -142,11 +143,10 @@ func Build(p *place.Placement, tk *tech.Tech) (*Grid, error) {
 	return g, nil
 }
 
-// Clone returns an independent copy of the grid for concurrent flows. After
-// Build the lattice is read-only — the router keeps all mutable search state
-// in its own arrays — but cloning keeps each parallel method free to evolve
-// its grid (or a future in-place router) without aliasing the others. Tech
-// and Place are immutable after construction and stay shared.
+// Clone returns an independent copy of the grid. Nothing needs one to route:
+// after Build the grid is read-only, the router keeps all mutable state in
+// its own arrays, and concurrent routes share one grid. Only the benchmark
+// harness's label probe still calls it. Tech and Place stay shared.
 func (g *Grid) Clone() *Grid {
 	ng := *g
 	ng.blocked = append([]bool(nil), g.blocked...)

@@ -128,8 +128,9 @@ func (a *Args) UnmarshalJSON(b []byte) error {
 // events — the always-on "what just happened" buffer served at /debug/flight
 // and dumped by -trace-out. When full, the oldest events are overwritten;
 // Dropped counts how many have been lost to wraparound. The ring starts small
-// and doubles as events arrive, up to exactly its capacity, so a process that
-// records little holds little.
+// and grows by a fixed step as events arrive, up to exactly its capacity, so
+// the slots it holds track the events it has recorded: a process that records
+// little holds little, and one more event never doubles the ring.
 type FlightRecorder struct {
 	mu       sync.Mutex
 	buf      []FlightEvent
@@ -137,8 +138,12 @@ type FlightRecorder struct {
 	total    uint64 // events ever recorded
 }
 
-// flightInitialSlots is the ring's first allocation.
-const flightInitialSlots = 64
+// flightInitialSlots is the ring's first allocation, flightGrowSlots what
+// each growth adds.
+const (
+	flightInitialSlots = 64
+	flightGrowSlots    = 256
+)
 
 // NewFlightRecorder builds a recorder holding at most capacity events
 // (minimum 1).
@@ -158,8 +163,9 @@ func (r *FlightRecorder) Record(e FlightEvent) {
 	case len(r.buf) < cap(r.buf):
 		r.buf = append(r.buf, e)
 	case len(r.buf) < r.capacity:
-		// append's own growth could overshoot the capacity.
-		grown := make([]FlightEvent, len(r.buf), min(2*len(r.buf), r.capacity))
+		// append's own growth would double the ring and could overshoot
+		// the capacity.
+		grown := make([]FlightEvent, len(r.buf), min(len(r.buf)+flightGrowSlots, r.capacity))
 		copy(grown, r.buf)
 		r.buf = append(grown, e)
 	default:

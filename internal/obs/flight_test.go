@@ -81,8 +81,10 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 }
 
 // TestFlightRecorderGrowsOnDemand pins the ring's memory: a fresh recorder at
-// the telemetry default of 8192 events holds under 64 KB, and a full one
-// holds exactly its capacity in slots, never more.
+// the telemetry default of 8192 events holds under 64 KB, a partly filled one
+// holds at most one growth step beyond its events (4097 events must not
+// double the ring to 8192 slots), and a full one holds exactly its capacity
+// in slots, never more.
 func TestFlightRecorderGrowsOnDemand(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -93,7 +95,14 @@ func TestFlightRecorderGrowsOnDemand(t *testing.T) {
 	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held >= 64<<10 {
 		t.Errorf("fresh recorder holds %d bytes, want < 64 KB", held)
 	}
-	for i := 0; i <= 8192; i++ {
+	const partial = 4097
+	for i := 0; i < partial; i++ {
+		r.Record(FlightEvent{TSUS: int64(i)})
+	}
+	if got := cap(r.buf); got > partial+flightGrowSlots {
+		t.Errorf("ring holding %d events has %d slots, want at most %d", partial, got, partial+flightGrowSlots)
+	}
+	for i := partial; i <= 8192; i++ {
 		r.Record(FlightEvent{TSUS: int64(i)})
 	}
 	if got := cap(r.buf); got != 8192 {

@@ -3,9 +3,12 @@ package route
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"analogfold/internal/geom"
+	"analogfold/internal/grid"
 	"analogfold/internal/guidance"
 	"analogfold/internal/netlist"
 )
@@ -35,8 +38,7 @@ func astarFixture(tb testing.TB) (*Router, int, []geom.Point3) {
 		tb.Fatal("no net with two pin groups")
 	}
 	r.ctx = context.Background()
-	r.netEpoch++
-	ne := r.netEpoch
+	ne := nextEpoch(&r.netEpoch, r.treeStamp, r.cellStamp, r.mirrorStamp)
 	r.prepNetCosts(ni, gd.PerNet[ni])
 	groups := r.pinGroups(ni)
 	r.treeCells = r.treeCells[:0]
@@ -92,6 +94,38 @@ func TestRouteNegotiationSteadyStateAllocs(t *testing.T) {
 	// per-search maps (≈480k allocs) could never meet.
 	if budget := 40.0 * float64(len(c.Nets)); allocs > budget {
 		t.Errorf("negotiation run allocates %.0f objects, want ≤ %.0f", allocs, budget)
+	}
+}
+
+// TestRouteCtxSteadyStateBytes pins what a production route allocates once
+// the router pool is warm: RouteCtx on OTA1 must take its lattice scratch
+// from the pool, not allocate it (47 bytes per cell: 7.7 MB on this
+// 149,760-cell grid). The bound is the median over 9 calls, so a pool
+// emptied by a collection mid-measurement does not fail it.
+func TestRouteCtxSteadyStateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a random quarter of sync.Pool puts")
+	}
+	c := netlist.OTA1()
+	g := buildGrid(t, c, 1)
+	gd := guidance.Uniform(len(c.Nets))
+	run := func() {
+		if _, err := RouteCtx(context.Background(), g, gd, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var allocated []uint64
+	var before, after runtime.MemStats
+	for i := 0; i < 9; i++ {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		allocated = append(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(allocated)
+	if med := allocated[len(allocated)/2]; med >= 1<<20 {
+		t.Errorf("steady-state RouteCtx allocates %d bytes (median of 9), want < 1 MB; lattice is %d cells", med, g.NumCells())
 	}
 }
 
@@ -182,25 +216,13 @@ func BenchmarkAstarCore(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteNegotiation measures a full rip-up-and-reroute run on a
-// reused Router (scratch warm, pin groups cached) — the steady-state cost of
-// one negotiation pass as seen by dataset generation and candidate
-// evaluation.
+// BenchmarkRouteNegotiation measures a full rip-up-and-reroute run through
+// RouteCtx, the entry point every production route takes, so -benchmem
+// shows what dataset labeling, candidate evaluation and served requests pay
+// per route with the router pool warm.
 func BenchmarkRouteNegotiation(b *testing.B) {
 	c := netlist.OTA1()
-	g := buildGrid(b, c, 1)
-	gd := guidance.Uniform(len(c.Nets))
-	r := NewRouter(g, Config{})
-	if _, err := r.Run(gd); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(gd); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRouteCtx(b, buildGrid(b, c, 1), guidance.Uniform(len(c.Nets)))
 }
 
 // BenchmarkRouteNegotiationGuided is BenchmarkRouteNegotiation under one
@@ -209,16 +231,19 @@ func BenchmarkRouteNegotiation(b *testing.B) {
 // shape the A* heuristic.
 func BenchmarkRouteNegotiationGuided(b *testing.B) {
 	c := netlist.OTA1()
-	g := buildGrid(b, c, 1)
 	gd := guidance.Sample(len(c.Nets), rand.New(rand.NewSource(1)), guidance.DefaultCMax)
-	r := NewRouter(g, Config{})
-	if _, err := r.Run(gd); err != nil {
+	benchRouteCtx(b, buildGrid(b, c, 1), gd)
+}
+
+func benchRouteCtx(b *testing.B, g *grid.Grid, gd guidance.Set) {
+	ctx := context.Background()
+	if _, err := RouteCtx(ctx, g, gd, Config{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(gd); err != nil {
+		if _, err := RouteCtx(ctx, g, gd, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

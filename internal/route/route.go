@@ -18,7 +18,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"analogfold/internal/fault"
 	"analogfold/internal/fault/inject"
@@ -89,9 +91,10 @@ type Result struct {
 	Iterations int
 }
 
-// Router holds reusable search state for one grid. All per-search and
-// per-net scratch lives here as epoch-stamped flat arrays and growable
-// buffers, so the steady-state search loop allocates nothing.
+// Router holds reusable search state for the grid it is bound to. All
+// per-search and per-net scratch lives here as epoch-stamped flat arrays and
+// growable buffers, so the steady-state search loop allocates nothing, and a
+// rebind to another grid reuses them.
 type Router struct {
 	g   *grid.Grid
 	cfg Config
@@ -166,39 +169,74 @@ type Router struct {
 
 // NewRouter creates a router over a grid.
 func NewRouter(g *grid.Grid, cfg Config) *Router {
+	r := new(Router)
+	r.bind(g, cfg)
+	return r
+}
+
+// bind points the router at a grid and config, reusing its lattice arrays
+// when their capacity covers the grid and allocating otherwise. Reused
+// elements keep stale values, which is safe: dist and parent are read only
+// under a current stamp, the epochs keep climbing across binds so no stale
+// stamp is current, and resetState clears usage and hist before every run.
+func (r *Router) bind(g *grid.Grid, cfg Config) {
+	r.clearConflicts() // indexes the previous grid's lattice
 	n := g.NumCells()
-	return &Router{
-		g: g, cfg: cfg.withDefaults(),
-		dist:          make([]float64, n),
-		parent:        make([]int32, n),
-		stamp:         make([]int32, n),
-		closed:        make([]int32, n),
-		targetStamp:   make([]int32, n),
-		treeStamp:     make([]int32, n),
-		cellStamp:     make([]int32, n),
-		mirrorStamp:   make([]int32, n),
-		stepX:         make([]float64, g.NL),
-		stepY:         make([]float64, g.NL),
-		dirDelta:      [6]int{1, -1, g.NX, -g.NX, g.NX * g.NY, -(g.NX * g.NY)},
-		usage:         make([]int16, n),
-		hist:          make([]float64, n),
-		inConflict:    make([]bool, n),
-		pinGroupCache: make([][]pinGroup, len(g.NetAPs)),
+	r.g, r.cfg = g, cfg.withDefaults()
+	r.dist = fit(r.dist, n)
+	r.parent = fit(r.parent, n)
+	r.stamp = fit(r.stamp, n)
+	r.closed = fit(r.closed, n)
+	r.targetStamp = fit(r.targetStamp, n)
+	r.treeStamp = fit(r.treeStamp, n)
+	r.cellStamp = fit(r.cellStamp, n)
+	r.mirrorStamp = fit(r.mirrorStamp, n)
+	r.usage = fit(r.usage, n)
+	r.hist = fit(r.hist, n)
+	r.inConflict = fit(r.inConflict, n)
+	r.stepX = fit(r.stepX, g.NL)
+	r.stepY = fit(r.stepY, g.NL)
+	r.dirDelta = [6]int{1, -1, g.NX, -g.NX, g.NX * g.NY, -(g.NX * g.NY)}
+	clear(r.pinGroupCache)
+	r.pinGroupCache = fit(r.pinGroupCache, len(g.NetAPs))
+}
+
+// fit returns s with length n, on its own backing array when that is large
+// enough.
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
+	return make([]T, n)
+}
+
+// nextEpoch advances the epoch e versioning the stamp arrays a, b and c, and
+// returns it. At math.MaxInt32 it first clears the arrays, over their whole
+// capacity because a later bind may reslice into it, and restarts at 1, so
+// neither a never-written stamp (0) nor a stale one can equal the current
+// epoch.
+func nextEpoch(e *int32, a, b, c []int32) int32 {
+	if *e == math.MaxInt32 {
+		clear(a[:cap(a)])
+		clear(b[:cap(b)])
+		clear(c[:cap(c)])
+		*e = 0
+	}
+	*e++
+	return *e
 }
 
 // resetState clears the cross-iteration routing state so a reused Router
 // starts a run exactly like a fresh one (the epoch-stamped search scratch
-// needs no clearing). The previous implementation carried stale usage and
-// history into reruns; resetting makes Router reuse exactly equivalent to
-// constructing a new Router.
+// needs no clearing).
 func (r *Router) resetState() {
-	for i := range r.usage {
-		r.usage[i] = 0
-	}
-	for i := range r.hist {
-		r.hist[i] = 0
-	}
+	clear(r.usage)
+	clear(r.hist)
+	r.clearConflicts()
+}
+
+// clearConflicts empties the conflict worklist and its membership flags.
+func (r *Router) clearConflicts() {
 	for _, idx := range r.conflictCells {
 		r.inConflict[idx] = false
 	}
@@ -206,18 +244,34 @@ func (r *Router) resetState() {
 	r.conflictCount = 0
 }
 
+// routers holds Router scratch between Route and RouteCtx calls, so a route
+// reuses the lattice arrays of an earlier one instead of allocating ~47
+// bytes per cell. It is one sync.Pool rather than a cache per grid: the
+// collector empties it, so no grid's lattice outlives the routes that use it.
+var routers sync.Pool
+
 // Route runs the full iterative flow with the given guidance (use
 // guidance.Uniform for the unguided baseline). It is the
 // context-free convenience over RouteCtx.
 func Route(g *grid.Grid, gd guidance.Set, cfg Config) (*Result, error) {
-	return NewRouter(g, cfg).RunCtx(context.Background(), gd)
+	return RouteCtx(context.Background(), g, gd, cfg)
 }
 
 // RouteCtx is Route under a cancellation context: the search observes ctx
 // between nets and periodically inside A*, returning a typed fault
 // (fault.ErrTimeout / fault.ErrCanceled) when the deadline lands mid-run.
+// Its router comes from a pool and is rebound to g, so concurrent calls on
+// one grid share only the read-only lattice.
 func RouteCtx(ctx context.Context, g *grid.Grid, gd guidance.Set, cfg Config) (*Result, error) {
-	return NewRouter(g, cfg).RunCtx(ctx, gd)
+	r, _ := routers.Get().(*Router)
+	if r == nil {
+		r = new(Router)
+	}
+	r.bind(g, cfg)
+	res, err := r.RunCtx(ctx, gd)
+	r.g, r.ctx = nil, nil // hold neither the grid nor the context while pooled
+	routers.Put(r)
+	return res, err
 }
 
 // Run executes rip-up-and-reroute until conflict-free or MaxIters, then a

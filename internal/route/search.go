@@ -184,8 +184,7 @@ func (r *Router) routeNetImpl(ni int, gd guidance.Set, iter int, netCells [][]ge
 		return nil, nil, fmt.Errorf("route: net %s has no pins", g.Place.Circuit.Nets[ni].Name)
 	}
 
-	r.netEpoch++
-	ne := r.netEpoch
+	ne := nextEpoch(&r.netEpoch, r.treeStamp, r.cellStamp, r.mirrorStamp)
 	r.prepNetCosts(ni, gd.PerNet[ni])
 
 	// Mirror cells of the already-routed symmetric peer get a discount so the
@@ -316,8 +315,7 @@ func (r *Router) stepMult(c float64) float64 {
 // only the returned path is freshly allocated (it outlives the search).
 func (r *Router) astar(ni int, iter int, targets []geom.Point3, hard bool) ([]geom.Point3, error) {
 	g := r.g
-	r.epoch++
-	ep := r.epoch
+	ep := nextEpoch(&r.epoch, r.stamp, r.closed, r.targetStamp)
 	ne := r.netEpoch
 	maxZ := r.maxZ
 
