@@ -20,12 +20,14 @@ vet:
 # over the assembly itself). Where the host can run GOAMD64=v3 code, it also
 # reruns the kernel oracle tests in that build, whose compiler may contract
 # the Go kernels' multiply-adds (TestSIMDOnlyWhereGoRounds checks the
-# dispatch follows).
+# dispatch follows), and the fused message op's oracle, whose explicit
+# product rounding must keep it on the unfused chain's bits there too.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 	if [ "$$(uname -m)" = x86_64 ] && grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo; then \
-		GOAMD64=v3 $(GO) test -count=1 -run 'Kernels|SIMD' ./internal/tensor/; \
+		GOAMD64=v3 $(GO) test -count=1 -run 'Kernels|SIMD' ./internal/tensor/ && \
+		GOAMD64=v3 $(GO) test -count=1 -run 'MessageSum' ./internal/ad/; \
 	fi
 
 # errcheck is a grep-based pass over the repo's error-returning helpers:
@@ -86,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s -fuzzminimizetime 2s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzMatMulKernels -fuzztime 10s -fuzzminimizetime 2s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzTapeReset -fuzztime 10s -fuzzminimizetime 2s ./internal/ad/
+	$(GO) test -run '^$$' -fuzz FuzzMessageSum -fuzztime 10s -fuzzminimizetime 2s ./internal/ad/
 	$(GO) test -run '^$$' -fuzz FuzzPQHeapOrder -fuzztime 10s -fuzzminimizetime 2s ./internal/route/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s -fuzzminimizetime 2s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzParseHealth -fuzztime 10s -fuzzminimizetime 2s ./internal/serve/

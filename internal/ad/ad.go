@@ -40,7 +40,7 @@ type Var struct {
 	k       float64
 	im      []int
 	fm      []float64
-	fspec   *FusedRBF
+	spec    any // a fused op's spec (*FusedRBF, *Edges), matched by identity
 	visitEp uint32
 	gradEp  uint32
 }

@@ -49,6 +49,7 @@
 package ad
 
 import (
+	"fmt"
 	"math"
 
 	"analogfold/internal/tensor"
@@ -78,6 +79,7 @@ const (
 	opCols
 	opRBF
 	opFusedRBF
+	opMessageSum
 )
 
 // Tape records the op nodes of a rebuilt-per-evaluation computation so
@@ -297,17 +299,17 @@ const (
 //
 // r,c give the output shape; r < 0 means "same shape as a" (elementwise).
 // k, im, fm and spec are op metadata (scalar constant, index slice, float
-// slice, fused spec) matched by value or by slice identity — index and
-// center slices are required to be stable across replays, which every
-// caller guarantees by construction.
-func obtain(op uint8, a, b *Var, k float64, im []int, fm []float64, spec *FusedRBF, r, c int) (*Var, replay) {
+// slice, fused spec) matched by value, by slice identity or, for the spec,
+// by pointer identity — index and center slices and specs are required to
+// be stable across replays, which every caller guarantees by construction.
+func obtain(op uint8, a, b *Var, k float64, im []int, fm []float64, spec any, r, c int) (*Var, replay) {
 	tp := tapeOf(a, b)
 	if tp == nil {
 		return freshNode(nil, op, a, b, k, im, fm, spec, r, c), recorded
 	}
 	if tp.pos < len(tp.nodes) {
 		n := tp.nodes[tp.pos]
-		if n.op == op && n.k == k && n.fspec == spec &&
+		if n.op == op && n.k == k && n.spec == spec &&
 			sameIntSlice(n.im, im) && sameFloatSlice(n.fm, fm) &&
 			depsMatch2(n.deps, a, b) &&
 			(r < 0 || (n.Value.Shape[0] == r && n.Value.Shape[1] == c)) {
@@ -344,7 +346,7 @@ func depsMatch2(deps []*Var, a, b *Var) bool {
 	return len(deps) == 2 && deps[0] == a && deps[1] == b
 }
 
-func freshNode(tp *Tape, op uint8, a, b *Var, k float64, im []int, fm []float64, spec *FusedRBF, r, c int) *Var {
+func freshNode(tp *Tape, op uint8, a, b *Var, k float64, im []int, fm []float64, spec any, r, c int) *Var {
 	var val *tensor.Tensor
 	if r < 0 {
 		val = tensor.New(a.Value.Shape...)
@@ -353,7 +355,7 @@ func freshNode(tp *Tape, op uint8, a, b *Var, k float64, im []int, fm []float64,
 	}
 	n := &Var{
 		Value: val, op: op, tape: tp,
-		k: k, im: im, fm: fm, fspec: spec,
+		k: k, im: im, fm: fm, spec: spec,
 		requires: a.requires || (b != nil && b.requires),
 		stable:   a.stable && (b == nil || b.stable),
 	}
@@ -500,6 +502,86 @@ func RBFDist(c *Var, spec *FusedRBF) *Var {
 				g.Data[r*3+2] += g2
 			}
 			c.accum(g)
+		}
+	}
+	return out
+}
+
+// Edges is the retained index spec of one message pass: edge e carries a
+// message from source row Src[e] to destination row Dst[e] of an NDst-row
+// output. Like FusedRBF, it must outlive every node created from it and stay
+// unmodified; replay matching is by spec pointer identity, which covers both
+// index slices.
+type Edges struct {
+	Src, Dst []int
+	NDst     int
+}
+
+// MessageSum returns the summed messages out[Dst[e]] += s[Src[e]] ⊙ rb[e]
+// for an [nodes × d] s and an [edges × d] rb: one message pass of Eq. (5),
+// the CFConv pattern, in one op.
+//
+// It replaces ScatterAdd(Mul(Gather(s, Src), rb), Dst, NDst) and gives that
+// chain's bits: every product is rounded before it is added (the float64
+// conversions block fused multiply-add contraction), sums run in edge order
+// from a zeroed buffer, and the deps are (s, rb) in that order, so backward
+// passes call closures, and accumulate into shared ancestors, in the chain's
+// order. Backward writes ∂rb directly, as accumMul does, and ∂s into a
+// zeroed scratch that is then accumulated, as Gather's backward does.
+func MessageSum(s, rb *Var, e *Edges) *Var {
+	d := s.Value.Shape[1]
+	if len(e.Dst) != len(e.Src) || rb.Value.Shape[0] != len(e.Src) || rb.Value.Shape[1] != d {
+		panic(fmt.Sprintf("ad: message sum shape mismatch: s %v, rb %v, %d src, %d dst",
+			s.Value.Shape, rb.Value.Shape, len(e.Src), len(e.Dst)))
+	}
+	out, st := obtain(opMessageSum, s, rb, 0, e.Src, nil, e, e.NDst, d)
+	if st == folded {
+		return out
+	}
+	od, sd, rd := out.Value.Data, s.Value.Data, rb.Value.Data
+	out.Value.Zero()
+	for i, r := range e.Src {
+		o := od[e.Dst[i]*d : e.Dst[i]*d+d]
+		x := sd[r*d : r*d+d]
+		y := rd[i*d : i*d+d]
+		for j := range o {
+			o[j] += float64(x[j] * y[j])
+		}
+	}
+	if st == recorded && out.requires {
+		out.back = func(v *Var) {
+			vg := v.Grad.Data
+			if rb.requires {
+				// The chain's Mul backward, rb's half: ∂rb[e] = ∂out[Dst[e]] ⊙ s[Src[e]].
+				dst, first := rb.gradDst()
+				for i, r := range e.Src {
+					g := vg[e.Dst[i]*d : e.Dst[i]*d+d]
+					x := sd[r*d : r*d+d]
+					row := dst[i*d : i*d+d]
+					if first {
+						for j := range row {
+							row[j] = 0 + float64(g[j]*x[j])
+						}
+					} else {
+						for j := range row {
+							row[j] += float64(g[j] * x[j])
+						}
+					}
+				}
+			}
+			if s.requires {
+				// Mul's s half then Gather's backward: ∂s[Src[e]] += ∂out[Dst[e]] ⊙ rb[e].
+				gs := gradScratch(v, s.Value.Shape)
+				for i, r := range e.Src {
+					g := vg[e.Dst[i]*d : e.Dst[i]*d+d]
+					y := rd[i*d : i*d+d]
+					row := gs.Data[r*d : r*d+d]
+					for j := range row {
+						row[j] += float64(g[j] * y[j])
+					}
+				}
+				s.accum(gs)
+			}
 		}
 	}
 	return out

@@ -22,9 +22,8 @@ type constFn func(*tensor.Tensor) *ad.Var
 // full model) or the extent constants of the unfused distance chain (the
 // NoRBF / NoCostAware ablations and the guidance-free M-source relations).
 type relEnv struct {
-	src, dst []int   // per-edge message indices (batch-offset when stacked)
-	nDst     int     // scatter bucket count
-	deg      *ad.Var // [nDst × 1] in-degree column: mix's bias multiplicity
+	msg *ad.Edges // per-edge message indices (batch-offset when stacked)
+	deg *ad.Var   // [NDst × 1] in-degree column: mix's bias multiplicity
 
 	spec *ad.FusedRBF // fused Eq. (1)–(3) path; nil → chain below
 
@@ -100,21 +99,22 @@ type forwardEnv struct {
 // per-instance guidance row count.
 func (m *Model) buildRel(g *hetgraph.Graph, es *hetgraph.EdgeSet, srcIsAP bool, b, srcDomain, dstDomain, nets int, cf constFn) relEnv {
 	n := es.Len()
-	re := relEnv{nDst: b * dstDomain}
+	msg := &ad.Edges{NDst: b * dstDomain}
 	if b == 1 {
-		re.src, re.dst = es.Src, es.Dst
+		msg.Src, msg.Dst = es.Src, es.Dst
 	} else {
-		re.src = make([]int, b*n)
-		re.dst = make([]int, b*n)
+		msg.Src = make([]int, b*n)
+		msg.Dst = make([]int, b*n)
 		for bi := 0; bi < b; bi++ {
 			for e := 0; e < n; e++ {
-				re.src[bi*n+e] = es.Src[e] + bi*srcDomain
-				re.dst[bi*n+e] = es.Dst[e] + bi*dstDomain
+				msg.Src[bi*n+e] = es.Src[e] + bi*srcDomain
+				msg.Dst[bi*n+e] = es.Dst[e] + bi*dstDomain
 			}
 		}
 	}
+	re := relEnv{msg: msg}
 	deg := tensor.New(b*dstDomain, 1)
-	for _, d := range re.dst {
+	for _, d := range msg.Dst {
 		deg.Data[d]++
 	}
 	re.deg = cf(deg)

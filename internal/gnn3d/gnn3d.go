@@ -112,17 +112,18 @@ func (r *relation) params() []*ad.Var {
 // src runs on the source node rows before the gather, and mix's weight runs
 // on the destination node rows after the scatter, with its bias added
 // in-degree times (deg ⊗ b); only rbf, whose input Ψ is per edge, runs on
-// edge rows. A non-nil re.tile means psi covers only the base
+// edge rows. The gather, the product with rb and the scatter-sum are one
+// ad.MessageSum. A non-nil re.tile means psi covers only the base
 // (single-instance) edge set of a stacked batch: rbf runs once on those rows
 // and the result is row-tiled to the full edge set — the expansion is
 // guidance-independent there, so every instance's rows are the same bits.
 func (r *relation) aggregate(v, psi *ad.Var, re *relEnv) *ad.Var {
-	s := ad.Gather(r.src.Forward(v), re.src)
+	s := r.src.Forward(v)
 	rb := r.rbf.Forward(psi)
 	if re.tile != nil {
 		rb = ad.Gather(rb, re.tile)
 	}
-	sum := ad.ScatterAdd(ad.Mul(s, rb), re.dst, re.nDst)
+	sum := ad.MessageSum(s, rb, re.msg)
 	return ad.Add(ad.MatMul(sum, r.mix.W), ad.MatMul(re.deg, r.mix.B))
 }
 

@@ -44,10 +44,10 @@ func edgeForwardCore(env *forwardEnv, cVar *ad.Var) *ad.Var {
 	psiPM := env.pm.psi(env, cVar)
 	psiMM := env.mm.psi(env, nil)
 	for _, l := range env.lays {
-		aggAP := ad.ScatterAdd(l.pp.edgeMessages(ad.Gather(vAP, env.pp.src), psiPP, env.pp.tile), env.pp.dst, env.pp.nDst)
-		aggAP = ad.Add(aggAP, ad.ScatterAdd(l.mp.edgeMessages(ad.Gather(vM, env.mp.src), psiMP, env.mp.tile), env.mp.dst, env.mp.nDst))
-		aggM := ad.ScatterAdd(l.pm.edgeMessages(ad.Gather(vAP, env.pm.src), psiPM, env.pm.tile), env.pm.dst, env.pm.nDst)
-		aggM = ad.Add(aggM, ad.ScatterAdd(l.mm.edgeMessages(ad.Gather(vM, env.mm.src), psiMM, env.mm.tile), env.mm.dst, env.mm.nDst))
+		aggAP := ad.ScatterAdd(l.pp.edgeMessages(ad.Gather(vAP, env.pp.msg.Src), psiPP, env.pp.tile), env.pp.msg.Dst, env.pp.msg.NDst)
+		aggAP = ad.Add(aggAP, ad.ScatterAdd(l.mp.edgeMessages(ad.Gather(vM, env.mp.msg.Src), psiMP, env.mp.tile), env.mp.msg.Dst, env.mp.msg.NDst))
+		aggM := ad.ScatterAdd(l.pm.edgeMessages(ad.Gather(vAP, env.pm.msg.Src), psiPM, env.pm.tile), env.pm.msg.Dst, env.pm.msg.NDst)
+		aggM = ad.Add(aggM, ad.ScatterAdd(l.mm.edgeMessages(ad.Gather(vM, env.mm.msg.Src), psiMM, env.mm.tile), env.mm.msg.Dst, env.mm.msg.NDst))
 		vAP = ad.Add(vAP, aggAP)
 		vM = ad.Add(vM, aggM)
 	}

@@ -6,6 +6,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"analogfold/internal/geom"
 	"analogfold/internal/place"
@@ -32,15 +33,20 @@ type Grid struct {
 	NY    int
 	NL    int
 
-	blocked []bool // device obstacles, layer-major
-	owner   []int32
+	// cell holds one word per lattice point, layer-major: the net owning the
+	// point as a pin access point (≥ 0), cellFree or cellBlocked (a device
+	// obstacle). An access point is never blocked, so the two are exclusive.
+	cell []int16
 
 	// APs are all access points; NetAPs[i] indexes APs by net.
 	APs    []AccessPoint
 	NetAPs [][]int
 }
 
-const noOwner = int32(-1)
+const (
+	cellFree    = int16(-1)
+	cellBlocked = int16(-2)
+)
 
 // Build constructs the grid for a placement.
 func Build(p *place.Placement, tk *tech.Tech) (*Grid, error) {
@@ -54,15 +60,17 @@ func Build(p *place.Placement, tk *tech.Tech) (*Grid, error) {
 	if nx < 2 || ny < 2 {
 		return nil, fmt.Errorf("grid: die %v too small for pitch %d", p.Die, pitch)
 	}
+	if n := len(p.Circuit.Nets); n > math.MaxInt16+1 {
+		return nil, fmt.Errorf("grid: %d nets, more than the %d a grid cell can name", n, math.MaxInt16+1)
+	}
 	g := &Grid{
 		Tech: tk, Place: p, Pitch: pitch,
 		NX: nx, NY: ny, NL: nl,
-		blocked: make([]bool, nx*ny*nl),
-		owner:   make([]int32, nx*ny*nl),
-		NetAPs:  make([][]int, len(p.Circuit.Nets)),
+		cell:   make([]int16, nx*ny*nl),
+		NetAPs: make([][]int, len(p.Circuit.Nets)),
 	}
-	for i := range g.owner {
-		g.owner[i] = noOwner
+	for i := range g.cell {
+		g.cell[i] = cellFree
 	}
 
 	// Block M1 over device footprints: analog routers avoid crossing active
@@ -80,17 +88,16 @@ func Build(p *place.Placement, tk *tech.Tech) (*Grid, error) {
 			for _, pad := range p.PinRects(pin.Device, pin.Terminal) {
 				for _, cell := range g.cellsUnder(pad) {
 					idx := g.index(cell)
-					if g.owner[idx] != noOwner && g.owner[idx] != int32(ni) {
+					if o := g.cell[idx]; o >= 0 && o != int16(ni) {
 						// A grid point covered by two different nets' pads
 						// would be a short; placement margins prevent this.
 						return nil, fmt.Errorf("grid: access point %v shared by nets %s and %s",
-							cell, p.Circuit.Nets[g.owner[idx]].Name, n.Name)
+							cell, p.Circuit.Nets[o].Name, n.Name)
 					}
-					if g.owner[idx] == int32(ni) {
+					if g.cell[idx] == int16(ni) {
 						continue // same pad listed twice
 					}
-					g.owner[idx] = int32(ni)
-					g.blocked[idx] = false
+					g.cell[idx] = int16(ni) // owned, and so unblocked
 					ap := AccessPoint{
 						ID: len(g.APs), Net: ni, Device: pin.Device, Terminal: pin.Terminal,
 						Cell: cell, Pos: geom.Point{X: cell.X * pitch, Y: cell.Y * pitch},
@@ -116,15 +123,14 @@ func Build(p *place.Placement, tk *tech.Tech) (*Grid, error) {
 						continue
 					}
 					idx := g.index(cell)
-					if g.owner[idx] != noOwner && g.owner[idx] != int32(ni) {
+					if o := g.cell[idx]; o >= 0 && o != int16(ni) {
 						continue
 					}
-					if g.owner[idx] == int32(ni) {
+					if g.cell[idx] == int16(ni) {
 						added++
 						continue
 					}
-					g.owner[idx] = int32(ni)
-					g.blocked[idx] = false
+					g.cell[idx] = int16(ni)
 					ap := AccessPoint{
 						ID: len(g.APs), Net: ni, Device: pin.Device, Terminal: pin.Terminal,
 						Cell: cell, Pos: geom.Point{X: cell.X * pitch, Y: cell.Y * pitch},
@@ -149,8 +155,7 @@ func Build(p *place.Placement, tk *tech.Tech) (*Grid, error) {
 // harness's label probe still calls it. Tech and Place stay shared.
 func (g *Grid) Clone() *Grid {
 	ng := *g
-	ng.blocked = append([]bool(nil), g.blocked...)
-	ng.owner = append([]int32(nil), g.owner...)
+	ng.cell = append([]int16(nil), g.cell...)
 	ng.APs = append([]AccessPoint(nil), g.APs...)
 	ng.NetAPs = make([][]int, len(g.NetAPs))
 	for i := range g.NetAPs {
@@ -169,21 +174,17 @@ func (g *Grid) InBounds(p geom.Point3) bool {
 }
 
 // Blocked reports whether the cell is a hard obstacle.
-func (g *Grid) Blocked(p geom.Point3) bool {
-	return g.blocked[g.index(p)]
-}
+func (g *Grid) Blocked(p geom.Point3) bool { return g.BlockedAt(g.index(p)) }
 
 // Owner returns the net owning the cell as a pin access point, or -1.
-func (g *Grid) Owner(p geom.Point3) int {
-	return int(g.owner[g.index(p)])
-}
+func (g *Grid) Owner(p geom.Point3) int { return g.OwnerAt(g.index(p)) }
 
 // BlockedAt is Blocked keyed by a flat cell index (see CellIndex), for hot
 // loops that already carry the index and would otherwise recompute it.
-func (g *Grid) BlockedAt(idx int) bool { return g.blocked[idx] }
+func (g *Grid) BlockedAt(idx int) bool { return g.cell[idx] == cellBlocked }
 
 // OwnerAt is Owner keyed by a flat cell index.
-func (g *Grid) OwnerAt(idx int) int { return int(g.owner[idx]) }
+func (g *Grid) OwnerAt(idx int) int { return int(max(g.cell[idx], cellFree)) }
 
 // NumCells returns the total lattice size.
 func (g *Grid) NumCells() int { return g.NX * g.NY * g.NL }
@@ -214,7 +215,7 @@ func (g *Grid) blockRect(r geom.Rect, z int) {
 			if x < 0 || y < 0 {
 				continue
 			}
-			g.blocked[g.index(geom.Point3{X: x, Y: y, Z: z})] = true
+			g.cell[g.index(geom.Point3{X: x, Y: y, Z: z})] = cellBlocked
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"testing"
 
 	"analogfold/internal/geom"
@@ -199,5 +200,27 @@ func TestBuildOnCoarserTechnology(t *testing.T) {
 		if len(g.NetAPs[ni]) == 0 {
 			t.Errorf("net %s lost all access points on sim65", n.Name)
 		}
+	}
+}
+
+// TestBuildNetLimit pins the net count a grid cell's int16 word can name:
+// 32768 nets build, one more is an error rather than a wrapped owner.
+func TestBuildNetLimit(t *testing.T) {
+	tk := tech.Sim40()
+	build := func(nets int) error {
+		c := &netlist.Circuit{Name: "wide", Nets: make([]*netlist.Net, nets)}
+		for i := range c.Nets {
+			c.Nets[i] = &netlist.Net{}
+		}
+		side := 4 * tk.GridPitch
+		p := &place.Placement{Circuit: c, Die: geom.Rect{Hi: geom.Point{X: side, Y: side}}}
+		_, err := Build(p, tk)
+		return err
+	}
+	if err := build(math.MaxInt16 + 1); err != nil {
+		t.Fatalf("%d nets: %v", math.MaxInt16+1, err)
+	}
+	if err := build(math.MaxInt16 + 2); err == nil {
+		t.Fatalf("%d nets built without error", math.MaxInt16+2)
 	}
 }

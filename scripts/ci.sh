@@ -24,7 +24,7 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
-echo "== cross-build (portable kernels) and GOAMD64=v3 kernel tests =="
+echo "== cross-build (portable kernels) and GOAMD64=v3 kernel and message-op tests =="
 make cross
 
 echo "== gofmt =="
@@ -84,18 +84,20 @@ echo "== fuzz smoke (10s per target, 2s minimization cap) =="
 # untyped error on the input-facing surfaces (netlist builder, tensor
 # constructors, inbound traceparent, the prober's /metrics decoder, the 3DGNN
 # checkpoint decoder, the SPICE and SPEF decoders), a matmul kernel whose bits
-# drift from the naive reference loops, or an A* open list whose pop order
-# drifts from the swapping reference heap, cheap enough to run every time.
+# drift from the naive reference loops, a fused message op whose bits drift
+# from the Gather → Mul → ScatterAdd chain, or an A* open list whose pop
+# order drifts from the swapping reference heap, cheap enough to run every
+# time.
 make fuzz-smoke
 
 echo "== benchmark smoke (router and model hot paths compile and run) =="
-# One iteration of the routing benchmarks, uniform and guided, the matmul
-# kernels at the served PP-edge shape, the model's session cycle at the
-# golden and served sizes, and training on the tape and on the transient
-# oracle: catches benchmarks that rot (compile errors, panics) without paying
-# for a real measurement run.
+# One iteration of the routing benchmarks, uniform and guided, the open list
+# on its synthetic A* trace, the matmul kernels at the served PP-edge shape,
+# the model's session cycle at the golden and served sizes, and training on
+# the tape and on the transient oracle: catches benchmarks that rot (compile
+# errors, panics) without paying for a real measurement run.
 go test -run=NONE -bench=RouteOTA1 -benchtime=1x .
-go test -run=NONE -bench='BenchmarkAstarCore|BenchmarkRouteNegotiation$|BenchmarkRouteNegotiationGuided$' -benchtime=1x ./internal/route/
+go test -run=NONE -bench='BenchmarkAstarCore|BenchmarkRouteNegotiation$|BenchmarkRouteNegotiationGuided$|BenchmarkPQHeap' -benchtime=1x ./internal/route/
 go test -run=NONE -bench='BenchmarkMatMulKernels' -benchtime=1x ./internal/tensor/
 go test -run=NONE -bench='BenchmarkModelCore|BenchmarkFit' -benchtime=1x ./internal/gnn3d/
 
